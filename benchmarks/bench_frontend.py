@@ -43,12 +43,15 @@ def run_stream(engine, scalars, rate=0.0, max_batch=16, max_wait_ms=5.0):
 
     ``rate`` is the Poisson arrival rate in req/s (0 = saturation: all
     requests submitted immediately).  Returns ops/s measured over the
-    full stream wall time and the frontend's own stats object.
+    full stream wall time plus latency, batch and completion figures
+    read from the run's own metrics registry.
     """
     from repro.curve.point import AffinePoint
+    from repro.obs import MetricsRegistry
     from repro.serve import Frontend
 
     rng = random.Random(0xA221)
+    registry = MetricsRegistry()
     generator = AffinePoint.generator()
     delays, t = [], 0.0
     for _ in scalars:
@@ -56,7 +59,7 @@ def run_stream(engine, scalars, rate=0.0, max_batch=16, max_wait_ms=5.0):
         delays.append(t)
 
     async def driver():
-        async with Frontend(engine, max_batch=max_batch,
+        async with Frontend(engine, metrics=registry, max_batch=max_batch,
                             max_wait_ms=max_wait_ms, max_queue=4096) as fe:
             async def client(k, delay):
                 await asyncio.sleep(delay)
@@ -67,19 +70,22 @@ def run_stream(engine, scalars, rate=0.0, max_batch=16, max_wait_ms=5.0):
                 *[client(k, d) for k, d in zip(scalars, delays)]
             )
             wall = time.perf_counter() - t0
-        return fe, results, wall
+        return results, wall
 
-    fe, results, wall = asyncio.run(driver())
+    results, wall = asyncio.run(driver())
     assert len(results) == len(scalars)
-    stats = fe.stats
+    e2e = registry.histogram("repro_frontend_e2e_latency_seconds", kind="sm")
     return {
         "ops_per_s": len(scalars) / wall,
         "wall_s": wall,
-        "p50_ms": stats.e2e_latencies.percentile(50) * 1e3,
-        "p99_ms": stats.e2e_latencies.percentile(99) * 1e3,
-        "mean_batch": stats.mean_batch_size,
-        "flushes": dict(stats.flushes),
-        "stats": stats,
+        "p50_ms": e2e.percentile(50) * 1e3,
+        "p99_ms": e2e.percentile(99) * 1e3,
+        "mean_batch": registry.histogram(
+            "repro_frontend_batch_size", kind="sm"
+        ).mean,
+        "completed": registry.value(
+            "repro_frontend_results_total", kind="sm", outcome="completed"
+        ),
     }
 
 
@@ -157,7 +163,7 @@ def test_streamed_saturation_near_warm_batch():
     print(f"\n  warm {warm_ops:.1f} ops/s vs streamed {sat['ops_per_s']:.1f} "
           f"ops/s ({sat['ops_per_s'] / warm_ops:.2f}x)")
     assert sat["ops_per_s"] >= warm_ops / 2.5
-    assert sat["stats"].completed == len(scalars)
+    assert sat["completed"] == len(scalars)
 
 
 def test_deadline_knob_trades_latency_for_batch_size():
@@ -177,7 +183,7 @@ def test_deadline_knob_trades_latency_for_batch_size():
     # A 200 ms window at an arrival rate near engine capacity must
     # coalesce more than the flush-immediately window does.
     assert loose["mean_batch"] >= tight["mean_batch"]
-    assert loose["stats"].completed == tight["stats"].completed == len(scalars)
+    assert loose["completed"] == tight["completed"] == len(scalars)
 
 
 if __name__ == "__main__":

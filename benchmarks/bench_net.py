@@ -106,11 +106,13 @@ def run_net(engine, scalars, *, n_clients, max_batch, max_wait_ms):
             await server.aclose()
             await fe.aclose()
         done = sum(len(r) for r in per_client)
-        return done, wall, server.stats
+        return done, wall, server.metrics
 
-    done, wall, stats = asyncio.run(driver())
+    done, wall, registry = asyncio.run(driver())
     assert done == len(scalars)
-    assert stats.requests.get("ok", 0) == len(scalars)
+    assert registry.value(
+        "repro_net_requests_total", kind="sm", outcome="ok"
+    ) == len(scalars)
     return len(scalars) / wall
 
 

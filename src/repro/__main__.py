@@ -327,11 +327,13 @@ def cmd_serve(argv=()) -> int:
     from .curve.point import AffinePoint
     from .curve.scalarmult import scalar_mul_fourq
     from .dsa import fourq_dh
+    from .obs import get_registry, render_report
     from .serve import (
         BatchEngine,
         Failed,
         Frontend,
         FrontendConfig,
+        Ok,
         Overloaded,
         RetryPolicy,
     )
@@ -382,6 +384,7 @@ def cmd_serve(argv=()) -> int:
         # demo time; seeded retry jitter keeps the run reproducible.
         engine_kwargs["chunk_timeout"] = 1.0
         engine_kwargs["retry_rng"] = random.Random(args.seed ^ 0xC4A05)
+    registry = get_registry()
     engine = BatchEngine(**engine_kwargs)
     engine.warm()
 
@@ -398,6 +401,7 @@ def cmd_serve(argv=()) -> int:
     async def driver():
         fe = Frontend(
             engine,
+            metrics=registry,
             max_batch=args.max_batch,
             max_wait_ms=args.max_wait_ms,
             max_queue=args.queue,
@@ -424,13 +428,13 @@ def cmd_serve(argv=()) -> int:
         )
         wall = time.perf_counter() - t0
         await fe.aclose()
-        return fe, outcomes, wall
+        return outcomes, wall
 
-    frontend, outcomes, wall = asyncio.run(driver())
+    outcomes, wall = asyncio.run(driver())
 
     print()
-    print(frontend.stats.report())
-    completed = frontend.stats.completed
+    print(render_report(registry.snapshot()))
+    completed = sum(isinstance(o, Ok) for o in outcomes)
     print(f"wall time        : {wall * 1e3:.1f} ms")
     print(f"streamed ops/s   : {completed / wall:.2f}")
 
@@ -499,11 +503,11 @@ def cmd_serve(argv=()) -> int:
     engine.close()
 
     if args.metrics_out:
-        from .obs import ExportSchemaError, get_registry, write_exports
+        from .obs import ExportSchemaError, write_exports
 
         try:
             json_path, prom_path = write_exports(
-                get_registry().snapshot(), args.metrics_out
+                registry.snapshot(), args.metrics_out
             )
         except ExportSchemaError as exc:
             print(f"FAIL: metrics export is schema-invalid: {exc}",
@@ -620,6 +624,7 @@ def _serve_net_server(args) -> int:
     import asyncio
     import os
 
+    from .obs import render_report
     from .serve import BatchEngine, FrontendConfig
     from .serve.net import NetServer, NetServerConfig
 
@@ -671,7 +676,7 @@ def _serve_net_server(args) -> int:
     finally:
         engine.close()
     print()
-    print(server.stats.report())
+    print(render_report(server.metrics.snapshot()))
     print("drained cleanly")
     return 0
 

@@ -322,10 +322,11 @@ def render_report(doc: dict) -> str:
     ]
     if admissions:
         lines.append("frontend (continuous batching)")
-        for entry in admissions:
+        results = list(_find(doc, "counters", "repro_frontend_results_total"))
+        for entry in admissions + results:
             kind = entry["labels"].get("kind", "?")
             outcome = entry["labels"].get("outcome", "?")
-            lines.append(f"  {kind:<8} {outcome:<8}: {int(entry['value'])}")
+            lines.append(f"  {kind:<8} {outcome:<9}: {int(entry['value'])}")
         for entry in _find(doc, "counters", "repro_frontend_flushes_total"):
             kind = entry["labels"].get("kind", "?")
             reason = entry["labels"].get("reason", "?")

@@ -63,14 +63,8 @@ from .faults import (
     Overloaded,
     classify_exception,
 )
-from .frontend import Frontend, FrontendClosed, FrontendConfig, FrontendStats
-from .net import (
-    NetClient,
-    NetClientClosed,
-    NetServer,
-    NetServerConfig,
-    NetServerStats,
-)
+from .frontend import Frontend, FrontendClosed, FrontendConfig
+from .net import NetClient, NetClientClosed, NetServer, NetServerConfig
 from .resilience import (
     CircuitBreaker,
     Deadline,
@@ -95,12 +89,10 @@ __all__ = [
     "Frontend",
     "FrontendClosed",
     "FrontendConfig",
-    "FrontendStats",
     "NetClient",
     "NetClientClosed",
     "NetServer",
     "NetServerConfig",
-    "NetServerStats",
     "Ok",
     "Overloaded",
     "PoolSupervisor",

@@ -183,10 +183,6 @@ class BatchEngine:
         scheduler: ``"auto"`` / ``"list"`` / ``"cp"`` (forwarded to the
             flow; full scalar multiplications resolve to list
             scheduling).
-        optimize: trace-optimizer level forwarded to the flow —
-            ``"none"`` / ``"cse"`` / ``"full"`` (see
-            ``docs/optimizer.md``); folded into the shape keys, so an
-            engine never mixes artifacts across levels.
         cache_entries: LRU bound of the flow-artifact cache (each
             workload shape — single-base SM, double-base SM, per
             recoding length — occupies one entry).
@@ -228,7 +224,6 @@ class BatchEngine:
         self,
         machine: Optional[MachineSpec] = None,
         scheduler: str = "auto",
-        optimize: str = "none",
         cache_entries: int = 16,
         check_golden: bool = True,
         chunk_timeout: Optional[float] = None,
@@ -244,7 +239,6 @@ class BatchEngine:
             raise ValueError(f"circuit_mode must be one of {_CIRCUIT_MODES}")
         self.machine = machine or MachineSpec()
         self.scheduler = scheduler
-        self.optimize = optimize
         self.check_golden = check_golden
         self.chunk_timeout = chunk_timeout
         self.metrics = metrics if metrics is not None else get_registry()
@@ -299,19 +293,14 @@ class BatchEngine:
         self.scalarmult(3, point or AffinePoint.generator())
 
     # -- single-request paths ------------------------------------------
-    def scalarmult_flow(self, k: int, point: Optional[AffinePoint] = None) -> FlowResult:
-        """Full verified flow for one [k]P (cache-aware)."""
-        # self_check=False skips the slow affine (k mod N)*P reference
-        # inside the tracer; the simulated result is still verified
-        # writeback-by-writeback against the traced values.
+    def _traced_flow(self, shape: str, trace, **trace_args) -> FlowResult:
+        """Time ``trace(**trace_args)``, then run its cached flow.
+
+        ``shape`` names the workload kind whose last cache key is
+        memoized in ``_shape_keys``.
+        """
         t0 = time.perf_counter()
-        prog = trace_scalar_mult(
-            k=k,
-            point=point,
-            decomposer=self.decomposer,
-            compiled=self.compiled_endos,
-            self_check=False,
-        )
+        prog = trace(**trace_args)
         self.metrics.histogram(FLOW_STAGE_SECONDS, stage="trace").observe(
             time.perf_counter() - t0
         )
@@ -319,16 +308,30 @@ class BatchEngine:
             prog,
             machine=self.machine,
             scheduler=self.scheduler,
-            optimize=self.optimize,
             check_golden=self.check_golden,
             cache=self.cache,
             simulator=self.simulator,
-            cache_key=self._shape_keys.get("scalarmult"),
+            cache_key=self._shape_keys.get(shape),
             metrics=self.metrics,
         )
         if flow.cache_key is not None:
-            self._shape_keys["scalarmult"] = flow.cache_key
+            self._shape_keys[shape] = flow.cache_key
         return flow
+
+    def scalarmult_flow(self, k: int, point: Optional[AffinePoint] = None) -> FlowResult:
+        """Full verified flow for one [k]P (cache-aware)."""
+        # self_check=False skips the slow affine (k mod N)*P reference
+        # inside the tracer; the simulated result is still verified
+        # writeback-by-writeback against the traced values.
+        return self._traced_flow(
+            "scalarmult",
+            trace_scalar_mult,
+            k=k,
+            point=point,
+            decomposer=self.decomposer,
+            compiled=self.compiled_endos,
+            self_check=False,
+        )
 
     def scalarmult(self, k: int, point: Optional[AffinePoint] = None) -> AffinePoint:
         """[k]P computed on the simulated datapath (bit-verified)."""
@@ -348,8 +351,9 @@ class BatchEngine:
         self, u1: int, u2: int, p1: AffinePoint, p2: AffinePoint
     ) -> FlowResult:
         """Full verified flow for [u1]P1 + [u2]P2 (cache-aware)."""
-        t0 = time.perf_counter()
-        prog = trace_double_scalar_mult(
+        return self._traced_flow(
+            "double_scalarmult",
+            trace_double_scalar_mult,
             u1=u1,
             u2=u2,
             p1=p1,
@@ -358,23 +362,6 @@ class BatchEngine:
             compiled=self.compiled_endos,
             self_check=False,
         )
-        self.metrics.histogram(FLOW_STAGE_SECONDS, stage="trace").observe(
-            time.perf_counter() - t0
-        )
-        flow = run_flow(
-            prog,
-            machine=self.machine,
-            scheduler=self.scheduler,
-            optimize=self.optimize,
-            check_golden=self.check_golden,
-            cache=self.cache,
-            simulator=self.simulator,
-            cache_key=self._shape_keys.get("double_scalarmult"),
-            metrics=self.metrics,
-        )
-        if flow.cache_key is not None:
-            self._shape_keys["double_scalarmult"] = flow.cache_key
-        return flow
 
     def msm_kernel_flow(self) -> FlowResult:
         """Trace + simulate one Pippenger bucket window (cache-aware).
@@ -387,27 +374,13 @@ class BatchEngine:
         once, and :meth:`msm_cycles_estimate` extrapolates whole-MSM
         cycle counts from its measured cycles-per-µop density.
         """
-        t0 = time.perf_counter()
-        prog = trace_msm_window(
-            n_points=_MSM_KERNEL_POINTS, window=_MSM_KERNEL_WINDOW
+        flow = self._traced_flow(
+            "msm_window",
+            trace_msm_window,
+            n_points=_MSM_KERNEL_POINTS,
+            window=_MSM_KERNEL_WINDOW,
         )
-        self.metrics.histogram(FLOW_STAGE_SECONDS, stage="trace").observe(
-            time.perf_counter() - t0
-        )
-        flow = run_flow(
-            prog,
-            machine=self.machine,
-            scheduler=self.scheduler,
-            optimize=self.optimize,
-            check_golden=self.check_golden,
-            cache=self.cache,
-            simulator=self.simulator,
-            cache_key=self._shape_keys.get("msm_window"),
-            metrics=self.metrics,
-        )
-        if flow.cache_key is not None:
-            self._shape_keys["msm_window"] = flow.cache_key
-        self._msm_kernel_stats = (flow.cycles, prog.arithmetic_size)
+        self._msm_kernel_stats = (flow.cycles, flow.trace_program.arithmetic_size)
         return flow
 
     def msm_cycles_estimate(
@@ -731,8 +704,6 @@ class BatchEngine:
                     kind=KIND_DEADLINE,
                     message="deadline expired before this item could start",
                 )
-                stats.record_error(KIND_DEADLINE, 0.0)
-                stats.ops += 1
                 m.counter("repro_serve_items_total", kind=kind, outcome="error").inc()
                 m.counter("repro_serve_errors_total", kind=KIND_DEADLINE).inc()
                 m.counter("repro_deadline_expired_total", stage="engine").inc()
@@ -741,7 +712,6 @@ class BatchEngine:
             key = self._job_key(kind, payload) if dedup else None
             if key is not None and key in seen:
                 results.append(seen[key])
-                stats.ops += 1
                 m.counter("repro_serve_items_total", kind=kind, outcome="dedup").inc()
                 continue
             t0 = time.perf_counter()
@@ -756,8 +726,6 @@ class BatchEngine:
                     message=str(exc),
                     latency=elapsed,
                 )
-                stats.record_error(failure.kind, elapsed)
-                stats.ops += 1
                 m.counter("repro_serve_items_total", kind=kind, outcome="error").inc()
                 m.counter("repro_serve_errors_total", kind=failure.kind).inc()
                 # Failures are never deduped: every bad input re-executes
@@ -768,7 +736,6 @@ class BatchEngine:
             stats.latencies.append(elapsed)
             stats.simulated_cycles += cycles
             stats.fallbacks += int(used_fallback)
-            stats.ops += 1
             m.counter("repro_serve_items_total", kind=kind, outcome="ok").inc()
             m.histogram("repro_serve_latency_seconds", kind=kind).observe(elapsed)
             if key is not None:
@@ -803,35 +770,12 @@ class BatchEngine:
         deadline = Deadline.coerce(deadline)
         msm_slots = [i for i, (kind, _) in enumerate(jobs) if kind == "verify_msm"]
         if msm_slots:
-            return self._run_batch_with_msm(
-                jobs, msm_slots, workers=workers, dedup=dedup, strict=strict,
-                min_chunk=min_chunk, deadline=deadline, t0=t0,
+            results, stats = self._run_with_msm(
+                jobs, msm_slots, workers, dedup, min_chunk, deadline
             )
-        workers = self.plan_workers(len(jobs), workers or 0, min_chunk)
-        if workers > 1 and not self.breaker.allow():
-            # Breaker open: the pool keeps failing, stop paying for it.
-            self.metrics.counter("repro_breaker_short_circuits_total").inc()
-            if self.circuit_mode == "fail_fast":
-                results, stats = self._fail_fast_circuit(jobs)
-            else:
-                results, stats = self._run_serial(
-                    jobs, dedup, strict=strict, deadline=deadline
-                )
-        elif workers > 1:
-            try:
-                results, stats = self._run_parallel(
-                    jobs, workers, dedup, deadline=deadline
-                )
-            except (ImportError, OSError, pickle.PicklingError):
-                # Pools unavailable (restricted platform) or the jobs
-                # cannot cross a process boundary: serial fallback.
-                self.breaker.record_failure()
-                results, stats = self._run_serial(
-                    jobs, dedup, strict=strict, deadline=deadline
-                )
         else:
-            results, stats = self._run_serial(
-                jobs, dedup, strict=strict, deadline=deadline
+            results, stats = self._dispatch(
+                jobs, workers, dedup, strict, min_chunk, deadline
             )
         if not self.resident_pool and self._supervisor is not None:
             self._supervisor.shutdown()
@@ -840,6 +784,7 @@ class BatchEngine:
             replace(r, index=i) if isinstance(r, Failed) else r
             for i, r in enumerate(results)
         ]
+        stats.count_outcomes(results)
         batch = BatchResult(results=results, stats=stats)
         if strict:
             # Parallel workers always run isolated (an exception must
@@ -847,17 +792,40 @@ class BatchEngine:
             batch.raise_any()
         return batch
 
-    def _run_batch_with_msm(
+    def _dispatch(
         self,
         jobs: Sequence[Tuple[str, Any]],
-        msm_slots: Sequence[int],
         workers: int,
         dedup: bool,
         strict: bool,
         min_chunk: Optional[int],
         deadline: Optional[Deadline],
-        t0: float,
-    ) -> BatchResult:
+    ) -> Tuple[List[Any], BatchStats]:
+        """Serial, fan-out or breaker-degraded execution of one batch."""
+        workers = self.plan_workers(len(jobs), workers or 0, min_chunk)
+        if workers > 1 and not self.breaker.allow():
+            # Breaker open: the pool keeps failing, stop paying for it.
+            self.metrics.counter("repro_breaker_short_circuits_total").inc()
+            if self.circuit_mode == "fail_fast":
+                return self._fail_fast_circuit(jobs)
+        elif workers > 1:
+            try:
+                return self._run_parallel(jobs, workers, dedup, deadline=deadline)
+            except (ImportError, OSError, pickle.PicklingError):
+                # Pools unavailable (restricted platform) or the jobs
+                # cannot cross a process boundary: serial fallback.
+                self.breaker.record_failure()
+        return self._run_serial(jobs, dedup, strict=strict, deadline=deadline)
+
+    def _run_with_msm(
+        self,
+        jobs: Sequence[Tuple[str, Any]],
+        msm_slots: Sequence[int],
+        workers: int,
+        dedup: bool,
+        min_chunk: Optional[int],
+        deadline: Optional[Deadline],
+    ) -> Tuple[List[Any], BatchStats]:
         """Split a flush: ``verify_msm`` items resolve as one group.
 
         The whole point of MSM-mode verification is cross-item
@@ -874,24 +842,15 @@ class BatchEngine:
             ordered[i] = r
         rest = [(i, job) for i, job in enumerate(jobs) if job[0] != "verify_msm"]
         if rest:
-            sub = self._run_batch(
-                [job for _, job in rest], workers=workers, dedup=dedup,
-                strict=False, min_chunk=min_chunk, deadline=deadline,
+            sub_results, sub_stats = self._dispatch(
+                [job for _, job in rest], workers, dedup, False, min_chunk,
+                deadline,
             )
-            for (i, _), r in zip(rest, sub.results):
+            for (i, _), r in zip(rest, sub_results):
                 ordered[i] = r
-            stats.merge(sub.stats)
-            stats.workers = max(stats.workers, sub.stats.workers)
-        stats.ops = len(jobs)
-        stats.wall_seconds = time.perf_counter() - t0
-        results = [
-            replace(r, index=i) if isinstance(r, Failed) else r
-            for i, r in enumerate(ordered)
-        ]
-        batch = BatchResult(results=results, stats=stats)
-        if strict:
-            batch.raise_any()
-        return batch
+            stats.merge(sub_stats)
+            stats.workers = max(stats.workers, sub_stats.workers)
+        return ordered, stats
 
     def _verify_msm_group(
         self,
@@ -929,13 +888,11 @@ class BatchEngine:
         t0 = time.perf_counter()
         n = len(items)
         results: List[Any] = [_UNSET] * n
-        stats.ops = n
         if n:
             m.histogram("repro_msm_batch_size").observe(n)
 
         def fail(idx: int, kind: str, message: str) -> None:
             results[idx] = Failed(kind=kind, message=message)
-            stats.record_error(kind, 0.0)
             m.counter(
                 "repro_serve_items_total", kind="verify_msm", outcome="error"
             ).inc()
@@ -1048,7 +1005,6 @@ class BatchEngine:
                     kind=KIND_INTERNAL,
                     message="verify_msm slot left unresolved",
                 )
-                stats.record_error(KIND_INTERNAL, 0.0)
         return results, stats
 
     def _fail_fast_circuit(
@@ -1058,8 +1014,6 @@ class BatchEngine:
         stats = BatchStats()
         results: List[Any] = []
         for kind, _ in jobs:
-            stats.record_error(KIND_CIRCUIT_OPEN, 0.0)
-            stats.ops += 1
             self.metrics.counter(
                 "repro_serve_items_total", kind=kind, outcome="error"
             ).inc()
@@ -1091,7 +1045,6 @@ class BatchEngine:
             write_ports=self.machine.write_ports,
             forwarding=self.machine.forwarding,
             scheduler=self.scheduler,
-            optimize=self.optimize,
             cache_entries=self.cache.max_entries,
             check_golden=self.check_golden,
         )
@@ -1285,8 +1238,6 @@ class BatchEngine:
                     kind=KIND_INTERNAL,
                     message="chunk result lost during recovery",
                 )
-                stats.record_error(KIND_INTERNAL, 0.0)
-        stats.ops = len(jobs)
         return ordered, stats
 
 
@@ -1308,7 +1259,6 @@ class _EngineConfig:
     write_ports: int
     forwarding: bool
     scheduler: str
-    optimize: str
     cache_entries: int
     check_golden: bool
 
@@ -1332,7 +1282,6 @@ def _worker_init(config: _EngineConfig) -> None:
             forwarding=config.forwarding,
         ),
         scheduler=config.scheduler,
-        optimize=config.optimize,
         cache_entries=config.cache_entries,
         check_golden=config.check_golden,
         # Workers never fan out themselves; their engine needs no pool.

@@ -52,10 +52,11 @@ Everything observable is recorded into :mod:`repro.obs`:
 ``repro_frontend_queue_depth`` (per-kind gauge, ``mode="max"`` high
 water), ``repro_frontend_batch_size`` / ``repro_frontend_flush_wait_seconds``
 histograms, ``repro_frontend_e2e_latency_seconds`` per-request
-end-to-end latency, ``repro_frontend_admissions_total`` and
-``repro_frontend_flushes_total`` counters.  A per-instance
-:class:`FrontendStats` mirrors the same numbers for one-process
-benchmarks and the ``repro serve`` CLI report.
+end-to-end latency, and the ``repro_frontend_admissions_total``,
+``repro_frontend_flushes_total`` and ``repro_frontend_results_total``
+counters.  The registry is the only record: pass a fresh
+:class:`~repro.obs.MetricsRegistry` for per-instance numbers and render
+it with :func:`repro.obs.render_report`.
 """
 
 from __future__ import annotations
@@ -64,11 +65,10 @@ import asyncio
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..obs import MetricsRegistry, get_registry
-from ..obs.metrics import Reservoir
 from .engine import BatchEngine, default_engine
 from .faults import (
     KIND_CANCELLED,
@@ -84,7 +84,6 @@ __all__ = [
     "Frontend",
     "FrontendClosed",
     "FrontendConfig",
-    "FrontendStats",
     "JOB_KINDS",
 ]
 
@@ -104,6 +103,10 @@ _POLICIES = ("block", "reject", "shed")
 FLUSH_SIZE = "size"
 FLUSH_DEADLINE = "deadline"
 FLUSH_DRAIN = "drain"
+
+#: Counter of resolved admitted requests, labelled by kind and by
+#: outcome ``completed`` / ``failed`` / ``cancelled``.
+RESULTS_TOTAL = "repro_frontend_results_total"
 
 
 class FrontendClosed(RuntimeError):
@@ -163,60 +166,6 @@ class FrontendConfig:
             raise ValueError("default_deadline_ms must be > 0 (or None)")
         if self.admission_timeout_ms is not None and self.admission_timeout_ms <= 0:
             raise ValueError("admission_timeout_ms must be > 0 (or None)")
-
-
-@dataclass
-class FrontendStats:
-    """One front door's life-to-date serving picture (single process).
-
-    The registry carries the same numbers for export/merge; this mirror
-    exists so benchmarks and the CLI can report without scraping.
-    """
-
-    submitted: int = 0
-    completed: int = 0
-    failed: int = 0
-    rejected: int = 0
-    shed: int = 0
-    cancelled: int = 0
-    deadline_expired: int = 0
-    flushes: Dict[str, int] = field(default_factory=dict)
-    batch_sizes: Reservoir = field(default_factory=lambda: Reservoir(cap=1024))
-    flush_waits: Reservoir = field(default_factory=lambda: Reservoir(cap=1024))
-    e2e_latencies: Reservoir = field(default_factory=lambda: Reservoir(cap=4096))
-
-    @property
-    def flush_count(self) -> int:
-        return sum(self.flushes.values())
-
-    @property
-    def mean_batch_size(self) -> float:
-        return self.batch_sizes.mean
-
-    def report(self) -> str:
-        reasons = ", ".join(
-            f"{reason}={count}" for reason, count in sorted(self.flushes.items())
-        ) or "none"
-        lines = [
-            f"submitted        : {self.submitted}",
-            f"completed        : {self.completed} ok / {self.failed} failed",
-            f"admission        : {self.rejected} rejected / {self.shed} shed"
-            + (f" / {self.cancelled} cancelled" if self.cancelled else "")
-            + (
-                f" / {self.deadline_expired} deadline-expired"
-                if self.deadline_expired
-                else ""
-            ),
-            f"flushes          : {self.flush_count} ({reasons})",
-            f"batch size       : mean {self.mean_batch_size:.1f}"
-            f"  p50 {self.batch_sizes.percentile(50):.0f}"
-            f"  max {max(self.batch_sizes, default=0):.0f}",
-            f"time-to-flush    : p50 {self.flush_waits.percentile(50) * 1e3:.1f} ms"
-            f"  p99 {self.flush_waits.percentile(99) * 1e3:.1f} ms",
-            f"e2e latency      : p50 {self.e2e_latencies.percentile(50) * 1e3:.1f} ms"
-            f"  p99 {self.e2e_latencies.percentile(99) * 1e3:.1f} ms",
-        ]
-        return "\n".join(lines)
 
 
 @dataclass
@@ -281,7 +230,6 @@ class Frontend:
         self.engine = engine if engine is not None else default_engine()
         self.config = replace(config or FrontendConfig(), **overrides)
         self.metrics = metrics if metrics is not None else get_registry()
-        self.stats = FrontendStats()
         self._lanes: Dict[str, _Lane] = {}
         self._closed = False
         self._draining = False
@@ -343,24 +291,17 @@ class Frontend:
         lane = self._lane(kind)
         await self._admit(lane, pending)
         outcome = await pending.future
-        elapsed = time.perf_counter() - pending.enqueued_at
-        self.stats.e2e_latencies.append(elapsed)
         self.metrics.histogram(
             "repro_frontend_e2e_latency_seconds", kind=kind
-        ).observe(elapsed)
+        ).observe(time.perf_counter() - pending.enqueued_at)
         return outcome
 
     async def _admit(self, lane: _Lane, pending: _Pending) -> None:
         cfg = self.config
         m = self.metrics
         if cfg.policy == "reject" and len(lane.queue) >= cfg.max_queue:
-            self.stats.rejected += 1
-            m.counter(
-                "repro_frontend_admissions_total",
-                kind=lane.kind, outcome="rejected",
-            ).inc()
-            raise Overloaded(
-                f"{lane.kind} queue full ({cfg.max_queue}); request rejected"
+            raise self._refuse(
+                lane, f"{lane.kind} queue full ({cfg.max_queue}); request rejected"
             )
         if cfg.policy == "block":
             # A blocked submitter waits for space, but never forever:
@@ -377,12 +318,8 @@ class Frontend:
                         # Woken by shutdown, not by space: this request
                         # was never admitted, so refusing it keeps the
                         # resolve-exactly-once contract for the queue.
-                        self.stats.rejected += 1
-                        m.counter(
-                            "repro_frontend_admissions_total",
-                            kind=lane.kind, outcome="rejected",
-                        ).inc()
-                        raise Overloaded(
+                        raise self._refuse(
+                            lane,
                             f"{lane.kind} queue still full at shutdown; "
                             "blocked request refused"
                         )
@@ -390,7 +327,6 @@ class Frontend:
                     if pending.expires_at is not None and now >= pending.expires_at:
                         # The caller's budget ran out at the door: a
                         # typed envelope, never an execution.
-                        self.stats.deadline_expired += 1
                         m.counter(
                             "repro_deadline_expired_total", stage="admission"
                         ).inc()
@@ -410,12 +346,8 @@ class Frontend:
                         )
                         return
                     if timeout_at is not None and now >= timeout_at:
-                        self.stats.rejected += 1
-                        m.counter(
-                            "repro_frontend_admissions_total",
-                            kind=lane.kind, outcome="rejected",
-                        ).inc()
-                        raise Overloaded(
+                        raise self._refuse(
+                            lane,
                             f"{lane.kind} queue still full after "
                             f"{cfg.admission_timeout_ms:g} ms admission timeout"
                         )
@@ -439,12 +371,10 @@ class Frontend:
                     latency=time.perf_counter() - oldest.enqueued_at,
                 )
             )
-            self.stats.shed += 1
             m.counter(
                 "repro_frontend_admissions_total", kind=lane.kind, outcome="shed"
             ).inc()
         lane.queue.append(pending)
-        self.stats.submitted += 1
         m.counter(
             "repro_frontend_admissions_total", kind=lane.kind, outcome="accepted"
         ).inc()
@@ -452,6 +382,13 @@ class Frontend:
             len(lane.queue)
         )
         lane.arrival.set()
+
+    def _refuse(self, lane: _Lane, message: str) -> Overloaded:
+        """Count one refused admission; returns the error to raise."""
+        self.metrics.counter(
+            "repro_frontend_admissions_total", kind=lane.kind, outcome="rejected"
+        ).inc()
+        return Overloaded(message)
 
     def _lane(self, kind: str) -> _Lane:
         lane = self._lanes.get(kind)
@@ -546,9 +483,8 @@ class Frontend:
         lane.queue.extend(alive)
         m = self.metrics
         for pending in expired:
-            self.stats.deadline_expired += 1
-            self.stats.failed += 1
             m.counter("repro_deadline_expired_total", stage="queued").inc()
+            m.counter(RESULTS_TOTAL, kind=lane.kind, outcome="failed").inc()
             pending.resolve(
                 Failed(
                     kind=KIND_DEADLINE,
@@ -577,9 +513,6 @@ class Frontend:
             "repro_frontend_batch_size", buckets=_BATCH_SIZE_BUCKETS, kind=kind
         ).observe(len(batch))
         m.histogram("repro_frontend_flush_wait_seconds", kind=kind).observe(wait)
-        self.stats.flushes[reason] = self.stats.flushes.get(reason, 0) + 1
-        self.stats.batch_sizes.append(len(batch))
-        self.stats.flush_waits.append(wait)
 
         cfg = self.config
         jobs = [(p.kind, p.payload) for p in batch]
@@ -617,10 +550,8 @@ class Frontend:
             ]
             m.counter("repro_frontend_flush_errors_total", kind=kind).inc()
         for pending, outcome in zip(batch, outcomes):
-            if isinstance(outcome, Failed):
-                self.stats.failed += 1
-            else:
-                self.stats.completed += 1
+            result = "failed" if isinstance(outcome, Failed) else "completed"
+            m.counter(RESULTS_TOTAL, kind=kind, outcome=result).inc()
             pending.resolve(outcome)
 
     # -- lifecycle -----------------------------------------------------
@@ -649,7 +580,9 @@ class Frontend:
                             latency=time.perf_counter() - pending.enqueued_at,
                         )
                     )
-                    self.stats.cancelled += 1
+                    self.metrics.counter(
+                        RESULTS_TOTAL, kind=lane.kind, outcome="cancelled"
+                    ).inc()
         tasks = []
         for lane in self._lanes.values():
             lane.arrival.set()

@@ -33,7 +33,7 @@ from .protocol import (
     wire_decode,
     wire_encode,
 )
-from .server import NetServer, NetServerConfig, NetServerStats
+from .server import NetServer, NetServerConfig
 
 __all__ = [
     "CODEC_JSON",
@@ -46,7 +46,6 @@ __all__ = [
     "NetClientClosed",
     "NetServer",
     "NetServerConfig",
-    "NetServerStats",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "SUPPORTED_CODECS",

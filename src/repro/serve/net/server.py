@@ -56,8 +56,10 @@ work completes harmlessly in the Frontend.  None of these paths can
 leave an unresolved future or take the server down.
 
 Everything observable lands in :mod:`repro.obs` under ``repro_net_*``
-(see docs/observability.md) and in the per-instance
-:class:`NetServerStats` mirror the CLI report prints.
+(see docs/observability.md); the registry is the only record.  Queue
+occupancy is never counted separately: :attr:`NetServer.pending` and
+:attr:`NetServer.inflight` are computed from the connections' queues
+and the live dispatch tasks.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Deque, Dict, Optional, Set, Tuple
 
 from ...obs import MetricsRegistry, get_registry
@@ -105,7 +107,7 @@ from .protocol import (
     wire_encode,
 )
 
-__all__ = ["NetServer", "NetServerConfig", "NetServerStats"]
+__all__ = ["NetServer", "NetServerConfig"]
 
 #: On-wire envelope of every frame: 4-byte length prefix + fixed header.
 _ENVELOPE = 4 + HEADER_SIZE
@@ -179,50 +181,6 @@ class NetServerConfig:
         for name in ("handshake_timeout_s", "frame_timeout_s", "drain_timeout_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-
-
-@dataclass
-class NetServerStats:
-    """One server's life-to-date transport picture (single process).
-
-    The registry carries the same numbers for export/merge; this mirror
-    exists so the CLI and benchmarks can report without scraping.
-    """
-
-    connections_opened: int = 0
-    connections_closed: int = 0
-    connections_refused: int = 0
-    frames_in: int = 0
-    frames_out: int = 0
-    bytes_in: int = 0
-    bytes_out: int = 0
-    requests: Dict[str, int] = field(default_factory=dict)  # outcome -> n
-    shed: int = 0
-    protocol_errors: int = 0
-    rr_grants: int = 0
-
-    def note_request(self, outcome: str) -> None:
-        self.requests[outcome] = self.requests.get(outcome, 0) + 1
-
-    @property
-    def requests_total(self) -> int:
-        return sum(self.requests.values())
-
-    def report(self) -> str:
-        outcomes = ", ".join(
-            f"{k}={v}" for k, v in sorted(self.requests.items())
-        ) or "none"
-        return "\n".join([
-            f"connections      : {self.connections_opened} opened / "
-            f"{self.connections_closed} closed / "
-            f"{self.connections_refused} refused",
-            f"frames           : {self.frames_in} in / {self.frames_out} out "
-            f"({self.bytes_in} B in / {self.bytes_out} B out)",
-            f"requests         : {self.requests_total} ({outcomes})",
-            f"admission        : {self.shed} shed / "
-            f"{self.protocol_errors} protocol errors / "
-            f"{self.rr_grants} round-robin grants",
-        ])
 
 
 @dataclass
@@ -316,13 +274,10 @@ class NetServer:
                 engine, config=frontend_config, metrics=self.metrics
             )
             self._owns_frontend = True
-        self.stats = NetServerStats()
         self._server: Optional[asyncio.base_events.Server] = None
         self._conns: Dict[int, _Conn] = {}
         self._next_conn_id = 1
         self._rr_pos = 0
-        self._total_pending = 0
-        self._total_inflight = 0
         self._work = asyncio.Event()
         self._idle = asyncio.Event()
         self._idle.set()
@@ -355,6 +310,23 @@ class NetServer:
     def connections(self) -> int:
         """Connections currently in the established state."""
         return len(self._conns)
+
+    @property
+    def pending(self) -> int:
+        """Parsed, undispatched requests across registered connections."""
+        return sum(len(conn.pending) for conn in self._conns.values())
+
+    @property
+    def inflight(self) -> int:
+        """Requests dispatched into the Frontend and not yet answered."""
+        return len(self._dispatch_tasks)
+
+    def _update_idle(self) -> None:
+        """Derive the drain signal from the queues it describes."""
+        if self.pending or self.inflight:
+            self._idle.clear()
+        else:
+            self._idle.set()
 
     @property
     def draining(self) -> bool:
@@ -410,11 +382,11 @@ class NetServer:
         for conn in list(self._conns.values()):
             while conn.pending:
                 req = conn.pending.popleft()
-                self._total_pending -= 1
                 self._shed_counters("drain")
                 await self._respond_overloaded(
                     conn, req.request_id, "server draining; request not executed"
                 )
+        self._update_idle()
         # In-flight dispatch tasks still resolve (their submits are in
         # the Frontend); give them the rest of the drain budget.
         if self._dispatch_tasks:
@@ -450,7 +422,6 @@ class NetServer:
         if self._draining or len(self._conns) >= cfg.max_connections:
             reason = ("server draining" if self._draining
                       else f"connection limit ({cfg.max_connections}) reached")
-            self.stats.connections_refused += 1
             self.metrics.counter(
                 "repro_net_connections_total", event="refused"
             ).inc()
@@ -483,7 +454,6 @@ class NetServer:
             return
         conn.task = asyncio.current_task()
         self._conns[conn.id] = conn
-        self.stats.connections_opened += 1
         self.metrics.counter("repro_net_connections_total", event="opened").inc()
         self.metrics.gauge("repro_net_connections_open").set(len(self._conns))
         try:
@@ -600,6 +570,10 @@ class NetServer:
                 )
 
     async def _accept_request(self, conn: _Conn, frame: Frame) -> None:
+        if not conn.alive:
+            # Frames still buffered on a torn-down connection: nothing
+            # can be answered, so nothing is admitted.
+            return
         now = time.perf_counter()
         body = frame.body if isinstance(frame.body, dict) else None
         if body is None or not isinstance(body.get("kind"), str):
@@ -644,7 +618,7 @@ class NetServer:
             expires_at=None if effective_ms is None
             else now + effective_ms / 1000.0,
         )
-        if self._total_pending >= self.config.max_pending_total:
+        if self.pending >= self.config.max_pending_total:
             victim_conn, victim = self._pick_shed_victim(conn, req)
             self._shed_counters("queue_full")
             await self._respond_overloaded(
@@ -656,8 +630,7 @@ class NetServer:
             if victim is req:
                 return
         conn.pending.append(req)
-        self._total_pending += 1
-        self._idle.clear()
+        self._update_idle()
         self.metrics.gauge(
             "repro_net_conn_queue_depth", mode="max"
         ).set(len(conn.pending))
@@ -679,7 +652,6 @@ class NetServer:
                     victim_conn, victim = cand_conn, cand
         if victim is not incoming:
             victim_conn.pending.remove(victim)
-            self._total_pending -= 1
             if victim_conn.outstanding < self.config.max_inflight_per_conn:
                 victim_conn.space.set()
         return victim_conn, victim
@@ -693,7 +665,7 @@ class NetServer:
             for conn, req in granted:
                 task = loop.create_task(self._dispatch_one(conn, req))
                 self._dispatch_tasks.add(task)
-                task.add_done_callback(self._dispatch_tasks.discard)
+                task.add_done_callback(self._dispatch_done)
             if not granted:
                 await self._work.wait()
 
@@ -707,21 +679,23 @@ class NetServer:
         n = len(ids)
         start = self._rr_pos % n
         for off in range(n):
-            if self._total_inflight >= self.config.max_dispatch_inflight:
+            if self.inflight + len(grants) >= self.config.max_dispatch_inflight:
                 break
             conn = self._conns.get(ids[(start + off) % n])
             if conn is None or not conn.pending:
                 continue
             req = conn.pending.popleft()
-            self._total_pending -= 1
             conn.inflight += 1
-            self._total_inflight += 1
             conn.idle.clear()
-            self.stats.rr_grants += 1
             self.metrics.counter("repro_net_rr_grants_total").inc()
             grants.append((conn, req))
         self._rr_pos = (start + 1) % max(1, n)
         return grants
+
+    def _dispatch_done(self, task: asyncio.Task) -> None:
+        self._dispatch_tasks.discard(task)
+        self._update_idle()
+        self._work.set()
 
     async def _dispatch_one(self, conn: _Conn, req: _NetRequest) -> None:
         try:
@@ -771,14 +745,10 @@ class NetServer:
             ).observe(time.perf_counter() - req.received_at)
         finally:
             conn.inflight -= 1
-            self._total_inflight -= 1
             if conn.outstanding < self.config.max_inflight_per_conn:
                 conn.space.set()
             if conn.outstanding == 0:
                 conn.idle.set()
-            if self._total_pending == 0 and self._total_inflight == 0:
-                self._idle.set()
-            self._work.set()
 
     # -- response writing ----------------------------------------------------
     async def _respond_ok(self, conn: _Conn, request_id: int, value: Any) -> None:
@@ -850,15 +820,12 @@ class NetServer:
         if not conn.alive:
             return
         conn.alive = False
-        dropped = len(conn.pending)
         conn.pending.clear()
-        self._total_pending -= dropped
         conn.space.set()
         if conn.outstanding == 0:
             conn.idle.set()
-        if self._total_pending == 0 and self._total_inflight == 0:
-            self._idle.set()
         self._unregister(conn)
+        self._update_idle()
         try:
             conn.writer.close()
         except (ConnectionError, OSError):  # pragma: no cover - best effort
@@ -877,7 +844,6 @@ class NetServer:
 
     def _unregister(self, conn: _Conn) -> None:
         if self._conns.pop(conn.id, None) is not None:
-            self.stats.connections_closed += 1
             self.metrics.counter(
                 "repro_net_connections_total", event="closed"
             ).inc()
@@ -887,8 +853,6 @@ class NetServer:
 
     # -- counters ----------------------------------------------------------
     def _record_in(self, type_name: str, nbytes: int) -> None:
-        self.stats.frames_in += 1
-        self.stats.bytes_in += nbytes
         self.metrics.counter(
             "repro_net_frames_total", direction="in", type=type_name
         ).inc()
@@ -897,8 +861,6 @@ class NetServer:
         ).inc(nbytes)
 
     def _record_out(self, type_name: str, nbytes: int) -> None:
-        self.stats.frames_out += 1
-        self.stats.bytes_out += nbytes
         self.metrics.counter(
             "repro_net_frames_total", direction="out", type=type_name
         ).inc()
@@ -907,17 +869,14 @@ class NetServer:
         ).inc(nbytes)
 
     def _request_counters(self, kind: str, outcome: str) -> None:
-        self.stats.note_request(outcome)
         self.metrics.counter(
             "repro_net_requests_total", kind=kind, outcome=outcome
         ).inc()
 
     def _shed_counters(self, reason: str) -> None:
-        self.stats.shed += 1
         self.metrics.counter("repro_net_shed_total", reason=reason).inc()
 
     def _protocol_error_counters(self, kind: str) -> None:
-        self.stats.protocol_errors += 1
         self.metrics.counter(
             "repro_net_protocol_errors_total", kind=kind
         ).inc()

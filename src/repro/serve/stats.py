@@ -23,10 +23,12 @@ Two under-load honesty rules (the bugs this module used to have):
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Any, Dict, Sequence
 
 from ..obs.metrics import Reservoir, percentile
+from .faults import Failed
 
 __all__ = ["BatchStats", "LATENCY_SAMPLE_CAP", "percentile"]
 
@@ -43,6 +45,11 @@ def _reservoir() -> Reservoir:
 @dataclass
 class BatchStats:
     """Aggregated statistics for one batch call.
+
+    ``ops``, ``errors``, ``errors_by_kind`` and ``error_latencies``
+    describe the batch's final result slots and are derived from them
+    once, by :meth:`count_outcomes`; every other field accumulates
+    while the batch runs and folds across workers with :meth:`merge`.
 
     Attributes:
         ops: operations completed (successes and isolated failures).
@@ -123,24 +130,22 @@ class BatchStats:
     def error_rate(self) -> float:
         return self.errors / self.ops if self.ops else 0.0
 
-    def record_error(self, kind: str, latency: float) -> None:
-        """Account one isolated per-item failure."""
-        self.errors += 1
-        self.errors_by_kind[kind] = self.errors_by_kind.get(kind, 0) + 1
-        self.error_latencies.append(latency)
+    def count_outcomes(self, results: Sequence[Any]) -> None:
+        """Derive the per-item fields from a batch's final result slots."""
+        failures = [r for r in results if isinstance(r, Failed)]
+        self.ops = len(results)
+        self.errors = len(failures)
+        self.errors_by_kind = dict(Counter(f.kind for f in failures))
+        self.error_latencies = _reservoir()
+        self.error_latencies.extend(f.latency for f in failures)
 
     def merge(self, other: "BatchStats") -> None:
         """Fold a worker's partial stats into this aggregate."""
-        self.ops += other.ops
         self.latencies.extend(other.latencies)
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
         self.fallbacks += other.fallbacks
         self.simulated_cycles += other.simulated_cycles
-        self.errors += other.errors
-        for kind, count in other.errors_by_kind.items():
-            self.errors_by_kind[kind] = self.errors_by_kind.get(kind, 0) + count
-        self.error_latencies.extend(other.error_latencies)
         self.requeues += other.requeues
         self.retries += other.retries
 

@@ -197,6 +197,7 @@ class TestFrontendStreamDifferential:
         """
         import asyncio
 
+        from repro.obs import MetricsRegistry
         from repro.serve import Frontend
 
         rng = _rng("frontend-stream")
@@ -210,14 +211,17 @@ class TestFrontendStreamDifferential:
         assert direct.ok_count == len(cases)
 
         async def stream():
-            async with Frontend(engine, max_batch=4, max_wait_ms=10.0) as fe:
+            async with Frontend(engine, metrics=MetricsRegistry(), max_batch=4,
+                                max_wait_ms=10.0) as fe:
                 async def one(k, p):
                     # Seeded jitter staggers arrivals across flushes.
                     await asyncio.sleep(rng.random() * 0.02)
                     return await fe.submit("sm", (k, p))
 
                 results = await asyncio.gather(*[one(k, p) for k, p in cases])
-            assert fe.stats.completed == len(cases)
+            assert fe.metrics.value(
+                "repro_frontend_results_total", kind="sm", outcome="completed"
+            ) == len(cases)
             return results
 
         streamed = asyncio.run(asyncio.wait_for(stream(), timeout=300))

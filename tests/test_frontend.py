@@ -31,7 +31,7 @@ import zlib
 import pytest
 
 from repro.curve.point import AffinePoint
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, counter_value
 from repro.serve import (
     BatchEngine,
     BatchResult,
@@ -80,12 +80,24 @@ def run(coro):
     return asyncio.run(asyncio.wait_for(coro, timeout=60))
 
 
+def counted(owner, name, **labels):
+    """Counter ``name`` summed over the series matching ``labels``, read
+    from the registry ``owner`` (a Frontend or NetServer) records into."""
+    return int(counter_value(owner.metrics.snapshot(), name, **labels))
+
+
+FLUSHES = "repro_frontend_flushes_total"
+ADMISSIONS = "repro_frontend_admissions_total"
+RESULTS = "repro_frontend_results_total"
+
+
 class TestFlushOnSize:
     def test_full_batch_flushes_immediately(self):
         async def body():
             stub = StubEngine()
             # The deadline is far away: only the size trigger can flush.
-            async with Frontend(stub, max_batch=4, max_wait_ms=10_000.0) as fe:
+            async with Frontend(stub, metrics=MetricsRegistry(), max_batch=4,
+                                max_wait_ms=10_000.0) as fe:
                 t0 = time.perf_counter()
                 results = await asyncio.gather(
                     *[fe.submit("sm", i) for i in range(8)]
@@ -95,19 +107,26 @@ class TestFlushOnSize:
                 # Two full flushes, neither waited for the deadline.
                 assert [len(p) for _, p in stub.batches] == [4, 4]
                 assert elapsed < 5.0
-                assert fe.stats.flushes.get("size") == 2
-                assert "deadline" not in fe.stats.flushes
+                assert counted(fe, FLUSHES, reason="size") == 2
+                assert counted(fe, FLUSHES, reason="deadline") == 0
             return fe
 
         fe = run(body())
-        assert fe.stats.submitted == fe.stats.completed == 8
+        assert counted(fe, ADMISSIONS, outcome="accepted") == 8
+        assert counted(fe, RESULTS, outcome="completed") == 8
 
     def test_oversized_wave_splits_into_max_batch_flushes(self):
         async def body():
             stub = StubEngine()
             async with Frontend(stub, max_batch=3, max_wait_ms=10_000.0,
                                 max_queue=100) as fe:
-                await asyncio.gather(*[fe.submit("sm", i) for i in range(10)])
+                futs = [asyncio.ensure_future(fe.submit("sm", i))
+                        for i in range(10)]
+                # One yield admits all ten; nine leave as size flushes.
+                await asyncio.sleep(0)
+            # Leaving the block drains the tenth rather than waiting out
+            # the 10 s flush deadline.
+            await asyncio.gather(*futs)
             sizes = [len(p) for _, p in stub.batches]
             assert all(s <= 3 for s in sizes)
             assert sum(sizes) == 10
@@ -119,13 +138,14 @@ class TestFlushOnDeadline:
     def test_lone_request_pays_at_most_the_deadline(self):
         async def body():
             stub = StubEngine()
-            async with Frontend(stub, max_batch=64, max_wait_ms=25.0) as fe:
+            async with Frontend(stub, metrics=MetricsRegistry(), max_batch=64,
+                                max_wait_ms=25.0) as fe:
                 t0 = time.perf_counter()
                 result = await fe.submit("sm", 7)
                 elapsed = time.perf_counter() - t0
             assert result == ("echo", 7)
             # Flushed by the deadline, not by a full batch ...
-            assert fe.stats.flushes == {"deadline": 1}
+            assert counted(fe, FLUSHES) == counted(fe, FLUSHES, reason="deadline") == 1
             # ... after waiting roughly max_wait_ms (generous upper
             # bound for loaded CI machines).
             assert 0.02 <= elapsed < 5.0
@@ -136,7 +156,8 @@ class TestFlushOnDeadline:
     def test_deadline_timer_starts_at_oldest_request(self):
         async def body():
             stub = StubEngine()
-            async with Frontend(stub, max_batch=64, max_wait_ms=80.0) as fe:
+            async with Frontend(stub, metrics=MetricsRegistry(), max_batch=64,
+                                max_wait_ms=80.0) as fe:
                 first = asyncio.ensure_future(fe.submit("sm", "old"))
                 await asyncio.sleep(0.03)
                 second = asyncio.ensure_future(fe.submit("sm", "young"))
@@ -144,7 +165,7 @@ class TestFlushOnDeadline:
             # The late arrival rode the older request's deadline: one
             # flush, both requests, oldest first.
             assert stub.batches == [("sm", ["old", "young"])]
-            assert fe.stats.flushes == {"deadline": 1}
+            assert counted(fe, FLUSHES) == counted(fe, FLUSHES, reason="deadline") == 1
 
         run(body())
 
@@ -216,6 +237,7 @@ class TestResolveExactlyOnce:
             drain = rng.random() < 0.5
             fe = Frontend(
                 stub,
+                metrics=MetricsRegistry(),
                 max_batch=rng.randint(1, 6),
                 max_wait_ms=rng.choice([0.0, 2.0, 50.0]),
                 max_queue=1000,
@@ -232,7 +254,7 @@ class TestResolveExactlyOnce:
             await fe.aclose(drain=drain)
             outcomes = await asyncio.gather(*tasks, return_exceptions=True)
             assert len(outcomes) == n
-            admitted = fe.stats.submitted
+            admitted = counted(fe, ADMISSIONS, outcome="accepted")
             for i, outcome in enumerate(outcomes):
                 if isinstance(outcome, FrontendClosed):
                     # The close beat this submission to the door: it was
@@ -270,11 +292,11 @@ class TestResolveExactlyOnce:
 
     def test_unknown_kind_rejected_before_admission(self):
         async def body():
-            fe = Frontend(StubEngine())
+            fe = Frontend(StubEngine(), metrics=MetricsRegistry())
             with pytest.raises(ValueError, match="unknown job kind"):
                 await fe.submit("keygen", 1)
             await fe.aclose()
-            assert fe.stats.submitted == 0
+            assert counted(fe, ADMISSIONS) == 0
 
         run(body())
 
@@ -307,9 +329,12 @@ class TestFrontendMetrics:
                 await asyncio.gather(*[fe.submit("sm", i) for i in range(8)])
             return fe
 
-        fe = run(body())
+        run(body())
         assert registry.value(
             "repro_frontend_admissions_total", kind="sm", outcome="accepted"
+        ) == 8
+        assert registry.value(
+            "repro_frontend_results_total", kind="sm", outcome="completed"
         ) == 8
         assert registry.value(
             "repro_frontend_flushes_total", kind="sm", reason="size"
@@ -321,8 +346,10 @@ class TestFrontendMetrics:
         # The snapshot round-trips through the schema gate.
         from repro.obs import validate_export
 
+        from repro.obs import render_report
+
         assert validate_export(registry.snapshot()) == []
-        assert "flushes" in fe.stats.report()
+        assert "flush[sm/size]: 2" in render_report(registry.snapshot())
 
 
 class TestWorkersHint:
@@ -401,7 +428,8 @@ class TestDeadlines:
         async def body():
             stub = StubEngine()
             # The flush deadline is far away: only the sweep can save us.
-            async with Frontend(stub, max_batch=64, max_wait_ms=10_000.0) as fe:
+            async with Frontend(stub, metrics=MetricsRegistry(), max_batch=64,
+                                max_wait_ms=10_000.0) as fe:
                 t0 = time.perf_counter()
                 outcome = await fe.submit_outcome("sm", 7, deadline=0.02)
                 elapsed = time.perf_counter() - t0
@@ -411,8 +439,9 @@ class TestDeadlines:
             assert elapsed < 5.0
             # The request never dispatched.
             assert stub.batches == []
-            assert fe.stats.deadline_expired == 1
-            assert fe.stats.submitted == 1
+            assert counted(fe, "repro_deadline_expired_total", stage="queued") == 1
+            assert counted(fe, RESULTS, outcome="failed") == 1
+            assert counted(fe, ADMISSIONS, outcome="accepted") == 1
 
         run(body())
 
@@ -503,8 +532,9 @@ class TestDeadlines:
 
         async def body():
             stub = StubEngine(delay=0.2)
-            fe = Frontend(stub, max_batch=1, max_wait_ms=0.0, max_queue=1,
-                          policy="block", admission_timeout_ms=50.0)
+            fe = Frontend(stub, metrics=MetricsRegistry(), max_batch=1,
+                          max_wait_ms=0.0, max_queue=1, policy="block",
+                          admission_timeout_ms=50.0)
             fillers = [
                 asyncio.ensure_future(fe.submit_outcome("sm", i))
                 for i in range(2)
@@ -514,7 +544,7 @@ class TestDeadlines:
                 await fe.submit_outcome("sm", 99)
             await asyncio.gather(*fillers, return_exceptions=True)
             await fe.aclose()
-            assert fe.stats.rejected >= 1
+            assert counted(fe, ADMISSIONS, outcome="rejected") >= 1
 
         run(body())
 

@@ -37,6 +37,8 @@ from repro.serve import (
 )
 from repro.obs import MetricsRegistry
 
+from tests.test_frontend import ADMISSIONS, RESULTS, counted
+
 SEED = int(os.environ.get("PYTEST_SEED", "0xF10C"), 0)
 
 
@@ -126,9 +128,11 @@ class TestDrainRace:
                 assert (
                     isinstance(out, Ok) and out.value == ("echo", (i, None))
                 ) or isinstance(out, Failed), (i, out)
-            # And the frontend's own books agree.
-            assert fe.stats.submitted == resolved
-            assert fe.stats.completed + fe.stats.failed == resolved
+            # And the frontend's registry agrees, with nothing queued.
+            assert counted(fe, ADMISSIONS, outcome="accepted") == resolved
+            assert (counted(fe, RESULTS, outcome="completed")
+                    + counted(fe, RESULTS, outcome="failed")) == resolved
+            assert fe.queue_depth == 0
 
     def test_late_submitters_get_frontend_closed(self):
         async def body():
@@ -136,6 +140,7 @@ class TestDrainRace:
             fe = _make_frontend(stub)
             assert await fe.submit("sm", (1, None)) == ("echo", (1, None))
             await fe.aclose(drain=True)
+            assert fe.queue_depth == 0
             with pytest.raises(FrontendClosed):
                 await fe.submit("sm", (2, None))
             with pytest.raises(FrontendClosed):
@@ -156,6 +161,7 @@ class TestDrainRace:
             ]
             await asyncio.sleep(0.005)  # first flush in flight, rest queued
             await fe.aclose(drain=True)
+            assert fe.queue_depth == 0
             outcomes = await asyncio.gather(*futs)
             echoes = [o for o in outcomes
                       if isinstance(o, Ok) and o.value[0] == "echo"]
@@ -196,7 +202,7 @@ class TestDrainRace:
                     *[submitter(i) for i in range(n)],
                 )
                 assert resolved + refused == n
-                assert fe.closed
+                assert fe.closed and fe.queue_depth == 0
 
             run(body())
 
@@ -212,6 +218,7 @@ class TestDrainRace:
             ]
             await asyncio.sleep(0.005)
             await fe.aclose(drain=False)
+            assert fe.queue_depth == 0
             outcomes = await asyncio.gather(*futs, return_exceptions=True)
             assert len(outcomes) == 8
             for o in outcomes:
@@ -219,5 +226,8 @@ class TestDrainRace:
                 typed = isinstance(o, Failed)
                 refused_ = isinstance(o, (FrontendClosed, Overloaded))
                 assert ok or typed or refused_, o
+            cancelled = [o for o in outcomes if isinstance(o, Failed)
+                         and o.kind == "cancelled"]
+            assert counted(fe, RESULTS, outcome="cancelled") == len(cancelled)
 
         run(body())

@@ -40,6 +40,9 @@ from repro.serve.net.protocol import (
     read_frame,
 )
 
+from tests.test_frontend import counted
+from tests.test_net_server import assert_quiescent
+
 SEED = int(os.environ.get("PYTEST_SEED", "0xF10C"), 0)
 
 
@@ -117,7 +120,8 @@ class TestGarbageFrames:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
-            assert server.stats.protocol_errors >= 1
+            assert_quiescent(server)
+            assert counted(server, "repro_net_protocol_errors_total") >= 1
 
         run(body())
 
@@ -143,6 +147,7 @@ class TestGarbageFrames:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
+            assert_quiescent(server)
 
         run(body())
 
@@ -164,6 +169,7 @@ class TestGarbageFrames:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
+            assert_quiescent(server)
 
         run(body())
 
@@ -184,6 +190,7 @@ class TestGarbageFrames:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
+            assert_quiescent(server)
 
         run(body())
 
@@ -213,6 +220,7 @@ class TestGarbageFrames:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
+            assert_quiescent(server)
 
         run(body())
 
@@ -235,6 +243,7 @@ class TestSlowloris:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
+            assert_quiescent(server)
 
         run(body())
 
@@ -260,7 +269,8 @@ class TestSlowloris:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
-            assert server.stats.protocol_errors >= 1
+            assert_quiescent(server)
+            assert counted(server, "repro_net_protocol_errors_total") >= 1
 
         run(body())
 
@@ -289,6 +299,7 @@ class TestDisconnects:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
+            assert_quiescent(server)
 
         run(body())
 
@@ -330,6 +341,7 @@ class TestDisconnects:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
+            assert_quiescent(server)
 
         run(body())
 
@@ -350,6 +362,7 @@ class TestDisconnects:
             await asyncio.sleep(0.02)
             await server.aclose(drain=False)  # abandon, don't drain
             await server.frontend.aclose(drain=False)
+            assert_quiescent(server)
             outcomes = await asyncio.gather(*futs, return_exceptions=True)
             for o in outcomes:
                 # Typed overload (abandoned at the drain wall), typed
@@ -396,6 +409,7 @@ class TestExpiredDeadlines:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
+            assert_quiescent(server)
 
         run(body())
 
@@ -412,5 +426,6 @@ class TestExpiredDeadlines:
             writer.close()
             await closer
             await server.frontend.aclose()
+            assert_quiescent(server)
 
         run(body())

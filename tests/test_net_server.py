@@ -45,7 +45,10 @@ from repro.serve import (
 from repro.serve.faults import KIND_DEADLINE, KIND_OVERLOADED, Overloaded
 from repro.serve.net.protocol import ConnectionLostError
 
+from tests.test_frontend import counted
+
 SEED = int(os.environ.get("PYTEST_SEED", "0xF10C"), 0)
+CONNECTIONS = "repro_net_connections_total"
 
 
 def _rng(tag: str) -> random.Random:
@@ -76,6 +79,14 @@ class StubEngine:
 def run(coro):
     """Run one async test body (no pytest-asyncio dependency)."""
     return asyncio.run(asyncio.wait_for(coro, timeout=60))
+
+
+def assert_quiescent(server):
+    """After ``aclose()``: nothing pending or in flight, the drain signal
+    derived from them is set, and the Frontend's lanes are empty."""
+    assert server.pending == server.inflight == 0
+    assert server._idle.is_set()
+    assert server.frontend.queue_depth == 0
 
 
 def make_server(stub=None, *, frontend_kwargs=None, **net_kwargs):
@@ -110,9 +121,15 @@ class TestRoundTrip:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
-            assert server.stats.requests.get("ok") == 33
-            assert server.stats.connections_opened == 1
-            assert server.stats.connections_closed == 1
+            assert_quiescent(server)
+            assert counted(server, "repro_net_requests_total", outcome="ok") == 33
+            frames = "repro_net_frames_total"
+            assert counted(server, frames, direction="in", type="request") == 33
+            assert counted(server, frames, direction="out", type="response") == 33
+            assert counted(server, "repro_net_bytes_total", direction="in") > 0
+            assert counted(server, "repro_net_bytes_total", direction="out") > 0
+            assert counted(server, CONNECTIONS, event="opened") == 1
+            assert counted(server, CONNECTIONS, event="closed") == 1
 
         run(body())
 
@@ -136,7 +153,8 @@ class TestRoundTrip:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
-            assert server.stats.connections_opened == 5
+            assert_quiescent(server)
+            assert counted(server, CONNECTIONS, event="opened") == 5
 
         run(body())
 
@@ -156,6 +174,7 @@ class TestRoundTrip:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
+            assert_quiescent(server)
 
         run(body())
 
@@ -211,11 +230,12 @@ class TestFairness:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
+            assert_quiescent(server)
             total = done["firehose"] + done["polite"]
             share = done["polite"] / total
             # Issue gate: slowest client's share >= 0.5 / n_clients.
             assert share >= 0.25, (done, share)
-            assert server.stats.rr_grants == total
+            assert counted(server, "repro_net_rr_grants_total") == total
 
         run(body())
 
@@ -253,10 +273,11 @@ class TestSheddingAndBackpressure:
                 assert len(shed) + len(served) == 48
                 assert shed, "cap of 4 with 48 queued must shed"
                 assert served, "shedding must not become total refusal"
-                assert server.stats.shed == len(shed)
+                assert counted(server, "repro_net_shed_total") == len(shed)
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
+            assert_quiescent(server)
 
         run(body())
 
@@ -299,6 +320,7 @@ class TestSheddingAndBackpressure:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
+            assert_quiescent(server)
 
         run(body())
 
@@ -323,7 +345,8 @@ class TestSheddingAndBackpressure:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
-            assert server.stats.shed == 0
+            assert_quiescent(server)
+            assert counted(server, "repro_net_shed_total") == 0
 
         run(body())
 
@@ -360,8 +383,11 @@ class TestSheddingAndBackpressure:
                                 for j in range(12)
                             ])
             finally:
-                await server.aclose()
+                # Bounded: a leaked pending count would otherwise be
+                # waited out for the whole drain_timeout_s.
+                await asyncio.wait_for(server.aclose(), timeout=5)
                 await server.frontend.aclose()
+            assert_quiescent(server)
 
         run(body())
 
@@ -378,7 +404,8 @@ class TestSheddingAndBackpressure:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
-            assert server.stats.connections_refused == 1
+            assert_quiescent(server)
+            assert counted(server, CONNECTIONS, event="refused") == 1
 
         run(body())
 
@@ -413,6 +440,7 @@ class TestDeadlinePropagation:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
+            assert_quiescent(server)
 
         run(body())
 
@@ -443,6 +471,7 @@ class TestDeadlinePropagation:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
+            assert_quiescent(server)
 
         run(body())
 
@@ -461,6 +490,7 @@ class TestDeadlinePropagation:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
+            assert_quiescent(server)
 
         run(body())
 
@@ -481,6 +511,7 @@ class TestGracefulDrain:
             ]
             await asyncio.sleep(0.02)  # some queued, some in flight
             await server.aclose()
+            assert_quiescent(server)
             outcomes = await asyncio.gather(*futs, return_exceptions=True)
             # Exactly once each: an echo, a typed overload (drain wall),
             # or a connection-lost error — never a hang (wait_for above).
@@ -508,6 +539,7 @@ class TestGracefulDrain:
             client = await NetClient.connect("127.0.0.1", port)
             await client.aclose()
             await server.aclose()
+            assert_quiescent(server)
             with pytest.raises((ConnectionLostError, ConnectionError,
                                 OSError)):
                 await NetClient.connect("127.0.0.1", port)
@@ -521,6 +553,7 @@ class TestGracefulDrain:
             await server.aclose()
             await server.aclose()
             await server.frontend.aclose()
+            assert_quiescent(server)
 
         run(body())
 
@@ -540,6 +573,7 @@ class TestGracefulDrain:
                     ("echo", (3, None))
             await server.aclose()
             assert server.frontend.closed
+            assert_quiescent(server)
 
         run(body())
 
@@ -566,5 +600,6 @@ class TestGracefulDrain:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
+            assert_quiescent(server)
 
         run(body())

@@ -27,6 +27,7 @@ from repro.obs import (
     validate_export,
     write_exports,
 )
+from repro.serve.faults import Failed
 from repro.serve.stats import LATENCY_SAMPLE_CAP, BatchStats
 
 
@@ -299,19 +300,20 @@ def test_render_report_skips_net_section_when_absent():
 
 def test_cycles_per_op_divides_by_ok_count():
     stats = BatchStats()
-    stats.ops = 8  # 8 items total, 2 failed -> 6 ok
     stats.simulated_cycles = 6000
-    stats.record_error("decoding", 0.01)
-    stats.record_error("small_order", 0.01)
+    # 8 items total, 2 failed -> 6 ok
+    stats.count_outcomes(
+        [True] * 6
+        + [Failed(kind="decoding", message=""),
+           Failed(kind="small_order", message="")]
+    )
     assert stats.ok_count == 6
     assert stats.cycles_per_op == pytest.approx(1000.0)  # not 6000/8 == 750
 
 
 def test_cycles_per_op_all_failed_is_zero():
     stats = BatchStats()
-    stats.ops = 2
-    stats.record_error("decoding", 0.01)
-    stats.record_error("decoding", 0.01)
+    stats.count_outcomes([Failed(kind="decoding", message="")] * 2)
     assert stats.cycles_per_op == 0.0
 
 
@@ -327,17 +329,20 @@ def test_latency_reservoirs_are_bounded():
 
 def test_batchstats_merge_folds_reservoirs():
     a, b = BatchStats(), BatchStats()
-    a.ops = b.ops = 2
     a.latencies.extend([0.1, 0.2])
     b.latencies.extend([0.3, 0.4])
     b.simulated_cycles = 10
-    b.record_error("timeout", 0.5)
     a.merge(b)
-    assert a.ops == 4
     assert a.latencies.count == 4
     assert sorted(a.latencies) == [0.1, 0.2, 0.3, 0.4]
+    assert a.simulated_cycles == 10
+    # The per-item fields come from the final slots, not from merging.
+    a.count_outcomes(
+        ["ok"] * 3 + [Failed(kind="timeout", message="", latency=0.5)]
+    )
+    assert a.ops == 4
     assert a.errors_by_kind == {"timeout": 1}
-    assert len(a.error_latencies) == 1
+    assert list(a.error_latencies) == [0.5]
 
 
 # -- thread-safety -----------------------------------------------------
