@@ -229,7 +229,7 @@ def run_flow(
         check_golden: verify every writeback against the traced values.
         cache: optional flow-artifact cache; same-shape requests reuse
             the schedule and register allocation (see module docstring).
-        simulator: optional reusable simulator (reset between runs);
+        simulator: optional reusable simulator (runs share no state);
             one is constructed per call when omitted.
         cache_key: optional precomputed shape key (a caller that knows
             its requests share one shape — the batch engine — skips
@@ -253,9 +253,11 @@ def run_flow(
         raise ValueError(f"optimize level must be one of {OPT_LEVELS}")
     machine = machine or MachineSpec()
     obs = metrics if metrics is not None else get_registry()
-    scheduler = resolve_scheduler(scheduler, trace_program)
-    if scheduler not in ("cp", "list"):
+    if scheduler not in ("auto", "cp", "list"):
         raise ValueError(f"unknown scheduler {scheduler!r}")
+    # "auto" is resolved only when the full flow runs: a hit through a
+    # caller-supplied key never needs it, and a computed shape key
+    # resolves it itself (trace_shape_key).
 
     opt_stats: Optional[OptStats] = None
     work_program = trace_program
@@ -316,6 +318,7 @@ def run_flow(
             # stale memo must not leak into the cache's key space).
             key = cache.key_for(trace_program, machine, scheduler, optimize)
 
+    scheduler = resolve_scheduler(scheduler, trace_program)
     t0 = perf_counter()
     problem = problem_from_trace(tracer.trace, machine)
     obs.histogram(FLOW_STAGE_SECONDS, stage="problem").observe(perf_counter() - t0)
@@ -424,8 +427,8 @@ def _run_from_artifacts(
 ) -> FlowResult:
     """The cache-hit fast path: rebind + simulate, no solve.
 
-    Reuses the cached problem/schedule/allocation; assembles fresh
-    control words for this trace's mux routings and input values; runs
+    Reuses the cached problem/schedule/allocation; rebinds the cached
+    decoded ROM rows to this trace's mux routings and input values; runs
     the golden-checked simulation; verifies the outputs against the
     traced reference.  Any failure propagates so the caller can fall
     back to the full flow.

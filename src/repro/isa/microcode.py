@@ -6,6 +6,12 @@ generated."  A :class:`ControlWord` holds everything the datapath needs
 in one cycle: what each functional unit issues (with operand sources:
 register file ports or forwarding paths) and which results are written
 back to which registers.
+
+The simulator runs the same ROM in decoded form: one flat :data:`Row`
+of ints and tuples per cycle (:func:`decode_words`).  A
+:class:`ProgramTemplate` keeps that table per workload shape, so a
+cache hit patches the mux-fed operand slots and builds no per-cycle
+objects.
 """
 
 from __future__ import annotations
@@ -70,20 +76,148 @@ class ControlWord:
     writebacks: Tuple[Writeback, ...] = ()
 
 
-@dataclass
-class MicroProgram:
-    """The assembled program: ROM image + register-file preload + outputs."""
+#: Operand codes of the decoded ROM table: a register index (>= 0) or
+#: one of the two forwarding paths.
+FWD_MULT = -1
+FWD_ADDSUB = -2
 
-    words: List[ControlWord]
-    preload: Dict[int, Tuple[int, int]]
-    register_count: int
-    outputs: Dict[str, int]          # output name -> register
-    golden: Dict[int, Tuple[int, int]]  # uid -> expected value (self-check)
-    uid_reg: Dict[int, int]
+#: A decoded unit issue: ``(kind, operand codes, destination uid)``.
+DecodedIssue = Tuple[OpKind, Tuple[int, ...], int]
+#: One decoded control word: ``(writebacks, mult issue, addsub issue)``,
+#: each writeback a ``(register, is_mult, uid)`` triple.
+Row = Tuple[
+    Tuple[Tuple[int, bool, int], ...], Optional[DecodedIssue], Optional[DecodedIssue]
+]
+
+_CODE_OF_SOURCE = {
+    OperandSource.FORWARD_MULT: FWD_MULT,
+    OperandSource.FORWARD_ADDSUB: FWD_ADDSUB,
+}
+_FORWARD_OPERAND = {
+    FWD_MULT: Operand(source=OperandSource.FORWARD_MULT),
+    FWD_ADDSUB: Operand(source=OperandSource.FORWARD_ADDSUB),
+}
+
+
+def decode_words(words: Sequence[ControlWord]) -> List[Row]:
+    """Decode control words into the flat rows the simulator runs."""
+    register = OperandSource.REGISTER
+    code_of = _CODE_OF_SOURCE
+    mult = Unit.MULTIPLIER
+
+    def decode_issue(issue: Optional[UnitIssue]) -> Optional[DecodedIssue]:
+        if issue is None:
+            return None
+        codes = [
+            op.register if op.source is register else code_of[op.source]
+            for op in issue.operands
+        ]
+        return (issue.kind, tuple(codes), issue.dest_uid)
+
+    return [
+        (
+            tuple([(wb.register, wb.unit is mult, wb.uid) for wb in w.writebacks]),
+            decode_issue(w.mult),
+            decode_issue(w.addsub),
+        )
+        for w in words
+    ]
+
+
+def _encode_issue(issue: Optional[DecodedIssue]) -> Optional[UnitIssue]:
+    if issue is None:
+        return None
+    kind, codes, dest = issue
+    return UnitIssue(
+        kind=kind,
+        operands=tuple(
+            Operand(source=OperandSource.REGISTER, register=c) if c >= 0 else _FORWARD_OPERAND[c]
+            for c in codes
+        ),
+        dest_uid=dest,
+    )
+
+
+def encode_rows(rows: Sequence[Row]) -> List[ControlWord]:
+    """Rebuild :class:`ControlWord` objects from decoded rows."""
+    return [
+        ControlWord(
+            cycle=c,
+            mult=_encode_issue(m),
+            addsub=_encode_issue(a),
+            writebacks=tuple(
+                Writeback(
+                    register=reg,
+                    unit=Unit.MULTIPLIER if is_mult else Unit.ADDSUB,
+                    uid=uid,
+                )
+                for reg, is_mult, uid in wbs
+            ),
+        )
+        for c, (wbs, m, a) in enumerate(rows)
+    ]
+
+
+class MicroProgram:
+    """The assembled program: ROM image + register-file preload + outputs.
+
+    A program holds its ROM either as :class:`ControlWord` objects
+    (``words``, what :func:`assemble` emits) or as the decoded rows a
+    :class:`ProgramTemplate` rebinds (see :meth:`decode`).  ``words`` is
+    built from the rows on first read and from then on *is* the program:
+    the simulator decodes it afresh on every run, so in-place edits to
+    the words are always what executes.
+    """
+
+    def __init__(
+        self,
+        preload: Dict[int, Tuple[int, int]],
+        register_count: int,
+        outputs: Dict[str, int],
+        golden: Dict[int, Tuple[int, int]],
+        uid_reg: Dict[int, int],
+        words: Optional[List[ControlWord]] = None,
+        rows: Optional[List[Row]] = None,
+    ):
+        if (words is None) == (rows is None):
+            raise ValueError("a program is built from words or from rows, not both")
+        self.preload = preload
+        self.register_count = register_count
+        self.outputs = outputs            # output name -> register
+        self.golden = golden              # uid -> expected value (self-check)
+        self.uid_reg = uid_reg
+        self._words = words
+        self._rows = rows
+
+    @property
+    def words(self) -> List[ControlWord]:
+        if self._words is None:
+            self._words = encode_rows(self._rows)
+            self._rows = None
+        return self._words
+
+    def decode(self) -> List[Row]:
+        """The decoded ROM table: the rebound rows, or ``words`` decoded now."""
+        if self._words is not None:
+            return decode_words(self._words)
+        return self._rows
+
+    def __eq__(self, other: object) -> bool:
+        """Programs are equal when they run the same decoded ROM."""
+        if not isinstance(other, MicroProgram):
+            return NotImplemented
+        return (
+            self.decode() == other.decode()
+            and self.preload == other.preload
+            and self.register_count == other.register_count
+            and self.outputs == other.outputs
+            and self.golden == other.golden
+            and self.uid_reg == other.uid_reg
+        )
 
     @property
     def cycles(self) -> int:
-        return len(self.words)
+        return len(self._words if self._words is not None else self._rows)
 
     @property
     def rom_bits_per_word(self) -> int:
@@ -201,30 +335,26 @@ def assemble(
 
 @dataclass
 class ProgramTemplate:
-    """Pre-assembled control skeleton for one workload shape.
+    """The decoded control ROM of one workload shape.
 
     ``assemble`` walks every task and resolves every operand per
     request, but only SELECT-routed operands (the constant-time mux
     paths: table entry and sign choices) actually vary between requests
     of the same shape — everything else (issue slots, forwarding
     decisions, writeback registers) is a pure shape function.  A
-    template captures the static skeleton once and precomputes, for
-    each mux-fed operand slot, the :class:`Operand` routing for *every*
-    possible mux leaf; :meth:`rebind` then reduces per-request assembly
-    to following each mux's chosen chain and picking the precomputed
-    routing.
-
-    ``UnitIssue``/``Operand``/``Writeback`` are frozen, so the static
-    skeleton is shared by every rebound program.
+    template holds the ROM once, already decoded into the rows the
+    simulator runs (:data:`Row`), and precomputes, for each mux-fed
+    operand slot, the operand code of *every* possible mux leaf.
+    :meth:`rebind` copies the row table and patches only those slots;
+    it builds no per-cycle objects.
     """
 
     n_trace: int
     register_count: int
-    mult_at: List[Optional[UnitIssue]]
-    addsub_at: List[Optional[UnitIssue]]
-    writebacks_at: List[Tuple[Writeback, ...]]
-    #: (cycle, is_mult, ((operand_index, select_uid, {leaf_uid: Operand}), ...))
-    patch_groups: List[Tuple[int, bool, Tuple[Tuple[int, int, Dict[int, Operand]], ...]]]
+    rows: List[Row]
+    #: (cycle, row position: 1 mult / 2 addsub,
+    #:  ((operand index, select uid, {leaf uid: operand code}), ...))
+    patches: List[Tuple[int, int, Tuple[Tuple[int, int, Dict[int, int]], ...]]]
     preload_slots: Tuple[Tuple[int, int], ...]  # (uid, register)
     out_static: Dict[str, int]                  # name -> register
     out_select: Tuple[Tuple[str, int], ...]     # (name, select uid)
@@ -242,27 +372,19 @@ class ProgramTemplate:
             raise ValueError(
                 f"trace has {len(trace)} ops, template expects {self.n_trace}"
             )
-        mult_at = list(self.mult_at)
-        addsub_at = list(self.addsub_at)
+        rows = list(self.rows)
         select = OpKind.SELECT
-        for cyc, is_mult, slots in self.patch_groups:
-            arr = mult_at if is_mult else addsub_at
-            base = arr[cyc]
-            operands = list(base.operands)
+        for cyc, pos, slots in self.patches:
+            row = rows[cyc]
+            kind, codes, dest = row[pos]
+            codes = list(codes)
             for idx, suid, premap in slots:
                 op = trace[suid]
                 while op.kind is select:
                     op = trace[op.srcs[0]]
-                operands[idx] = premap[op.uid]
-            arr[cyc] = UnitIssue(
-                kind=base.kind, operands=tuple(operands), dest_uid=base.dest_uid
-            )
-        words = [
-            ControlWord(cycle=c, mult=m, addsub=a, writebacks=w)
-            for c, (m, a, w) in enumerate(
-                zip(mult_at, addsub_at, self.writebacks_at)
-            )
-        ]
+                codes[idx] = premap[op.uid]
+            issue = (kind, tuple(codes), dest)
+            rows[cyc] = (row[0], issue, row[2]) if pos == 1 else (row[0], row[1], issue)
         outputs = dict(self.out_static)
         for name, suid in self.out_select:
             op = trace[suid]
@@ -270,7 +392,7 @@ class ProgramTemplate:
                 op = trace[op.srcs[0]]
             outputs[name] = self.reg_of[op.uid]
         return MicroProgram(
-            words=words,
+            rows=rows,
             preload={reg: trace[uid].value for uid, reg in self.preload_slots},
             register_count=self.register_count,
             outputs=outputs,
@@ -290,8 +412,8 @@ def build_template(
     """Build a :class:`ProgramTemplate` from one solved shape instance.
 
     The reference ``trace`` only contributes structure; ``rebind`` with
-    the same trace reproduces byte-for-byte what :func:`assemble` emits
-    for it (the microcode equivalence test pins this down).
+    the same trace reproduces exactly what :func:`assemble` emits for
+    it (the hit/miss equivalence tests pin this down).
     """
     from ..sched.jobshop import resolve_select_all, resolve_select_chosen
 
@@ -300,54 +422,47 @@ def build_template(
     start = schedule.start
     n_cycles = schedule.makespan + 1
 
-    def operand_for(leaf: int, cyc: int) -> Operand:
+    def code_for(leaf: int, cyc: int) -> int:
         producer_idx = problem.uid_to_index.get(leaf)
         if producer_idx is not None:
             p_unit = problem.tasks[producer_idx].unit
             if problem.machine.forwarding and cyc == start[producer_idx] + lat(p_unit):
-                return Operand(
-                    source=OperandSource.FORWARD_MULT
-                    if p_unit is Unit.MULTIPLIER
-                    else OperandSource.FORWARD_ADDSUB
-                )
-        return Operand(source=OperandSource.REGISTER, register=alloc.reg_of[leaf])
+                return FWD_MULT if p_unit is Unit.MULTIPLIER else FWD_ADDSUB
+        return alloc.reg_of[leaf]
 
-    mult_at: List[Optional[UnitIssue]] = [None] * n_cycles
-    addsub_at: List[Optional[UnitIssue]] = [None] * n_cycles
-    wb_lists: List[List[Writeback]] = [[] for _ in range(n_cycles)]
-    patch_groups: List[
-        Tuple[int, bool, Tuple[Tuple[int, int, Dict[int, Operand]], ...]]
-    ] = []
+    issues: Tuple[List[Optional[DecodedIssue]], ...] = (
+        [None] * n_cycles,  # multiplier
+        [None] * n_cycles,  # adder/subtractor
+    )
+    wb_lists: List[List[Tuple[int, bool, int]]] = [[] for _ in range(n_cycles)]
+    patches: List[Tuple[int, int, Tuple[Tuple[int, int, Dict[int, int]], ...]]] = []
 
     for t in problem.tasks:
         op = by_uid[t.uid]
         cyc = start[t.index]
         srcs = op.srcs if op.kind is not OpKind.SQR else (op.srcs[0], op.srcs[0])
-        operands: List[Operand] = []
-        slots: List[Tuple[int, int, Dict[int, Operand]]] = []
+        codes: List[int] = []
+        slots: List[Tuple[int, int, Dict[int, int]]] = []
         for i, s in enumerate(srcs):
             if by_uid[s].kind is OpKind.SELECT:
                 premap = {
-                    leaf: operand_for(leaf, cyc)
+                    leaf: code_for(leaf, cyc)
                     for leaf in resolve_select_all(by_uid, s)
                 }
-                operands.append(premap[resolve_select_chosen(by_uid, s)])
+                codes.append(premap[resolve_select_chosen(by_uid, s)])
                 slots.append((i, s, premap))
             else:
-                operands.append(operand_for(s, cyc))
-        issue = UnitIssue(kind=op.kind, operands=tuple(operands), dest_uid=t.uid)
+                codes.append(code_for(s, cyc))
         is_mult = t.unit is Unit.MULTIPLIER
-        arr = mult_at if is_mult else addsub_at
-        if arr[cyc] is not None:
+        at = issues[0 if is_mult else 1]
+        if at[cyc] is not None:
             raise ValueError(
                 f"{'multiplier' if is_mult else 'addsub'} double-issue at cycle {cyc}"
             )
-        arr[cyc] = issue
+        at[cyc] = (op.kind, tuple(codes), t.uid)
         if slots:
-            patch_groups.append((cyc, is_mult, tuple(slots)))
-        wb_lists[cyc + lat(t.unit)].append(
-            Writeback(register=alloc.reg_of[t.uid], unit=t.unit, uid=t.uid)
-        )
+            patches.append((cyc, 1 if is_mult else 2, tuple(slots)))
+        wb_lists[cyc + lat(t.unit)].append((alloc.reg_of[t.uid], is_mult, t.uid))
 
     names = output_names or {}
     out_static: Dict[str, int] = {}
@@ -367,10 +482,8 @@ def build_template(
     return ProgramTemplate(
         n_trace=len(trace),
         register_count=alloc.register_count,
-        mult_at=mult_at,
-        addsub_at=addsub_at,
-        writebacks_at=[tuple(w) for w in wb_lists],
-        patch_groups=patch_groups,
+        rows=[(tuple(w), m, a) for w, m, a in zip(wb_lists, *issues)],
+        patches=patches,
         preload_slots=preload_slots,
         out_static=out_static,
         out_select=tuple(out_select),

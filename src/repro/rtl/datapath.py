@@ -3,7 +3,11 @@
 Executes an assembled :class:`repro.isa.microcode.MicroProgram` on the
 modeled datapath of Fig. 1: register file (4R/2W), pipelined Karatsuba
 multiplier, adder/subtractor, forwarding paths, and the FSM sequencer
-(here: the program counter walking the control words).
+(here: the program counter walking the decoded ROM rows).  The unit
+models of :mod:`repro.rtl.regfile`, :mod:`repro.rtl.multiplier` and
+:mod:`repro.rtl.addsub` define the behaviour; the simulator runs it in
+one fused loop over plain lists and calls their combinational
+arithmetic directly.
 
 Every writeback is checked against the golden value recorded in the
 trace, so a passing simulation is a cycle-by-cycle, bit-exact proof
@@ -17,11 +21,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..field.fp2 import Fp2Raw
-from ..isa.microcode import MicroProgram, OperandSource, UnitIssue
-from ..trace.ops import OpKind, Unit
-from .addsub import AddSubStats, AddSubUnit
-from .multiplier import MultiplierStats, PipelinedMultiplier
-from .regfile import RegisterFile
+from ..isa.microcode import FWD_MULT, MicroProgram
+from ..trace.ops import OpKind
+from .addsub import AddSubStats, fp2_addsub_compute
+from .multiplier import MultiplierStats, karatsuba_fp2_multiply
+from .regfile import PortViolation, RegisterFile
+
+#: The register file's port budget (Section III-A: four read, two write).
+READ_PORTS = RegisterFile.read_ports
+WRITE_PORTS = RegisterFile.write_ports
 
 
 class SimulationError(RuntimeError):
@@ -108,164 +116,183 @@ class SimulationResult:
 class DatapathSimulator:
     """Executes microprograms cycle by cycle.
 
-    The simulator owns its datapath components (register file, pipelined
-    multiplier, adder/subtractor) and resets them between runs, so a
-    batch engine can stream many programs through one instance without
-    paying re-construction per request.  :meth:`reset` restores the
-    power-on state; :meth:`run` calls it automatically, making two
-    back-to-back runs on one simulator bit-identical to two runs on
-    fresh simulators.
+    One fused loop runs the decoded ROM rows (:meth:`MicroProgram.decode`):
+    the register file is a local list and each unit pipeline a local
+    ring of ``depth`` slots, so every run starts from the power-on state
+    and a batch engine can stream many programs through one instance.
+    The arithmetic goes through the bit-exact unit models
+    (:func:`karatsuba_fp2_multiply`, :func:`fp2_addsub_compute`), and
+    every cycle is checked: each writeback against its golden value,
+    the register file's port budget (4 deduplicated reads, 2 writes),
+    reads of uninitialized registers, forwards or writebacks from an
+    idle unit; at the end, drained pipelines and written outputs.
     """
 
     def __init__(self, mult_depth: int = 3, addsub_depth: int = 1):
         self.mult_depth = mult_depth
         self.addsub_depth = addsub_depth
-        self._rf = RegisterFile(size=0)
-        self._mult = PipelinedMultiplier(depth=mult_depth)
-        self._addsub = AddSubUnit(depth=addsub_depth)
-
-    def reset(self, register_count: Optional[int] = None) -> None:
-        """Restore register-file and pipeline state to power-on.
-
-        Clears every register, flushes both unit pipelines, and zeroes
-        the statistics counters.  ``register_count`` resizes the
-        register file for the next program (reusing storage when the
-        size is unchanged).
-        """
-        self._rf.reset(register_count)
-        self._mult.reset()
-        self._addsub.reset()
 
     def run(self, program: MicroProgram, check_golden: bool = True) -> SimulationResult:
-        self.reset(program.register_count)
-        rf = self._rf
-        rf.preload(program.preload)
-        mult = self._mult
-        addsub = self._addsub
-
+        rows = program.decode()
         golden = program.golden
-        register_src = OperandSource.REGISTER
-        forward_mult = OperandSource.FORWARD_MULT
+        rf: List[Optional[Fp2Raw]] = [None] * program.register_count
+        for reg, value in program.preload.items():
+            rf[reg] = value
+        m_depth = self.mult_depth
+        s_depth = self.addsub_depth
+        # Pipeline slot ``cycle % depth`` holds what was issued ``depth``
+        # cycles ago: it leaves the unit this cycle and is refilled with
+        # this cycle's issue.
+        m_pipe: List[Optional[Fp2Raw]] = [None] * m_depth
+        s_pipe: List[Optional[Fp2Raw]] = [None] * s_depth
+        m_stats = MultiplierStats()
+        s_stats = AddSubStats()
+        multiply = karatsuba_fp2_multiply
+        addsub = fp2_addsub_compute
         unary_kinds = (OpKind.NEG, OpKind.CONJ)
 
-        # Per-unit occupancy accounting, kept in locals so the per-cycle
-        # cost is a handful of integer ops (the profile feeds the
-        # pipeline-utilization metrics; see repro.obs).
-        fwd_uses = [0, 0]  # [multiplier forwards, addsub forwards]
-        mult_issues = addsub_issues = 0
-        mult_busy = addsub_busy = 0
-        m_inflight = s_inflight = 0
+        fwd_m = fwd_s = 0
+        reads = writes = max_reads = max_writes = 0
+        m_issues = s_issues = m_busy = s_busy = m_inflight = s_inflight = 0
 
-        # Operand gathering with per-issue register dedup (a squaring
-        # fans one read port out to both multiplier inputs).
-        def gather(issue: UnitIssue, m_out, s_out, cycle: int) -> List[Fp2Raw]:
-            vals: List[Fp2Raw] = []
-            seen: Dict[int, Fp2Raw] = {}
-            for op in issue.operands:
-                if op.source is register_src:
-                    if op.register in seen:
-                        vals.append(seen[op.register])
-                    else:
-                        v = rf.read(op.register)
-                        seen[op.register] = v
-                        vals.append(v)
-                elif op.source is forward_mult:
-                    if m_out is None:
-                        raise SimulationError(
-                            f"cycle {cycle}: forward from idle multiplier"
-                        )
-                    fwd_uses[0] += 1
-                    vals.append(m_out)
-                else:
-                    if s_out is None:
-                        raise SimulationError(
-                            f"cycle {cycle}: forward from idle addsub"
-                        )
-                    fwd_uses[1] += 1
-                    vals.append(s_out)
-            return vals
-
-        for word in program.words:
-            rf.begin_cycle()
+        for cycle, (wbs, m_issue, s_issue) in enumerate(rows):
+            m_slot = cycle % m_depth
+            s_slot = cycle % s_depth
             # Values leaving the units this cycle (available for
             # forwarding and for writeback).
-            m_out = mult._pipe[-1]
-            s_out = addsub._pipe[-1]
+            m_out = m_pipe[m_slot]
+            s_out = s_pipe[s_slot]
 
-            # Writebacks happen from the unit outputs.
-            for wb in word.writebacks:
-                value = m_out if wb.unit is Unit.MULTIPLIER else s_out
+            # Writebacks come from the unit outputs and land at the end
+            # of the cycle, after this cycle's reads.
+            n_writes = 0
+            for reg, is_mult, uid in wbs:
+                value = m_out if is_mult else s_out
                 if value is None:
                     raise SimulationError(
-                        f"cycle {word.cycle}: writeback from idle "
-                        f"{wb.unit.value} unit"
+                        f"cycle {cycle}: writeback from idle "
+                        f"{'mult' if is_mult else 'addsub'} unit"
                     )
-                if check_golden and value != golden[wb.uid]:
+                if check_golden and value != golden[uid]:
                     raise SimulationError(
-                        f"cycle {word.cycle}: v{wb.uid} mismatch: "
-                        f"{value} != {golden[wb.uid]}"
+                        f"cycle {cycle}: v{uid} mismatch: {value} != {golden[uid]}"
                     )
-                rf.write(wb.register, value)
+                n_writes += 1
+                if n_writes > WRITE_PORTS:
+                    raise PortViolation(f"more than {WRITE_PORTS} writes in a cycle")
 
-            mult_issue = None
-            if word.mult is not None:
-                a, b = gather(word.mult, m_out, s_out, word.cycle)
-                mult_issue = (a, b)
-            addsub_issue = None
-            if word.addsub is not None:
-                vals = gather(word.addsub, m_out, s_out, word.cycle)
-                kind = word.addsub.kind
-                if kind in unary_kinds:
-                    addsub_issue = (kind, vals[0], None)
+            # Operand gathering: a register read once per issue feeds
+            # every slot naming it (a squaring fans one read port out to
+            # both multiplier inputs).
+            n_reads = 0
+            m_new = s_new = None
+            for is_mult, issue in ((True, m_issue), (False, s_issue)):
+                if issue is None:
+                    continue
+                kind, codes, _ = issue
+                args = []
+                seen = []  # codes in operand order, aligned with args
+                for code in codes:
+                    if code >= 0:
+                        if code in seen:
+                            args.append(args[seen.index(code)])
+                            seen.append(code)
+                            continue
+                        n_reads += 1
+                        if n_reads > READ_PORTS:
+                            raise PortViolation(
+                                f"more than {READ_PORTS} reads in a cycle"
+                            )
+                        value = rf[code]
+                        if value is None:
+                            raise RuntimeError(
+                                f"read of uninitialized register r{code}"
+                            )
+                    elif code == FWD_MULT:
+                        if m_out is None:
+                            raise SimulationError(
+                                f"cycle {cycle}: forward from idle multiplier"
+                            )
+                        fwd_m += 1
+                        value = m_out
+                    else:
+                        if s_out is None:
+                            raise SimulationError(
+                                f"cycle {cycle}: forward from idle addsub"
+                            )
+                        fwd_s += 1
+                        value = s_out
+                    seen.append(code)
+                    args.append(value)
+                if is_mult:
+                    x, y = args
+                    m_new = multiply(x, y, m_stats)
+                elif kind in unary_kinds:
+                    s_new = addsub(kind, args[0], None)
                 else:
-                    addsub_issue = (kind, vals[0], vals[1])
+                    s_new = addsub(kind, args[0], args[1])
+            reads += n_reads
+            if n_reads > max_reads:
+                max_reads = n_reads
 
             # Occupancy: a unit is busy any cycle with an op in flight
             # (issuing, or draining its pipeline).
-            issued_m = mult_issue is not None
-            issued_s = addsub_issue is not None
-            mult_issues += issued_m
-            addsub_issues += issued_s
-            if m_inflight or issued_m:
-                mult_busy += 1
-            if s_inflight or issued_s:
-                addsub_busy += 1
-            m_inflight += issued_m - (m_out is not None)
-            s_inflight += issued_s - (s_out is not None)
+            if m_issue is not None:
+                m_issues += 1
+                m_busy += 1
+                m_inflight += 1
+            elif m_inflight:
+                m_busy += 1
+            if m_out is not None:
+                m_inflight -= 1
+            if s_issue is not None:
+                s_issues += 1
+                s_busy += 1
+                s_inflight += 1
+            elif s_inflight:
+                s_busy += 1
+            if s_out is not None:
+                s_inflight -= 1
 
-            mult.tick(mult_issue)
-            addsub.tick(addsub_issue)
-            rf.end_cycle()
+            m_pipe[m_slot] = m_new
+            s_pipe[s_slot] = s_new
+            if wbs:
+                for reg, is_mult, _ in wbs:
+                    rf[reg] = m_out if is_mult else s_out
+                writes += n_writes
+                if n_writes > max_writes:
+                    max_writes = n_writes
 
-        if mult.busy or addsub.busy:
+        if any(v is not None for v in m_pipe) or any(v is not None for v in s_pipe):
             raise SimulationError("pipeline not drained at end of program")
 
         outputs = {}
         for name, reg in program.outputs.items():
-            val = rf.peek(reg)
-            if val is None:
+            value = rf[reg]
+            if value is None:
                 raise SimulationError(f"output {name} (r{reg}) never written")
-            outputs[name] = val
+            outputs[name] = value
+        s_stats.issues = s_issues
         profile = UnitProfile(
-            cycles=len(program.words),
-            mult_issues=mult_issues,
-            addsub_issues=addsub_issues,
-            mult_busy_cycles=mult_busy,
-            addsub_busy_cycles=addsub_busy,
-            forward_mult_uses=fwd_uses[0],
-            forward_addsub_uses=fwd_uses[1],
-            rf_reads=rf.total_reads,
-            rf_writes=rf.total_writes,
-            max_reads_per_cycle=rf.max_reads_seen,
-            max_writes_per_cycle=rf.max_writes_seen,
+            cycles=len(rows),
+            mult_issues=m_issues,
+            addsub_issues=s_issues,
+            mult_busy_cycles=m_busy,
+            addsub_busy_cycles=s_busy,
+            forward_mult_uses=fwd_m,
+            forward_addsub_uses=fwd_s,
+            rf_reads=reads,
+            rf_writes=writes,
+            max_reads_per_cycle=max_reads,
+            max_writes_per_cycle=max_writes,
         )
         return SimulationResult(
             outputs=outputs,
-            cycles=len(program.words),
-            mult_stats=mult.stats,
-            addsub_stats=addsub.stats,
-            max_reads_per_cycle=rf.max_reads_seen,
-            max_writes_per_cycle=rf.max_writes_seen,
+            cycles=len(rows),
+            mult_stats=m_stats,
+            addsub_stats=s_stats,
+            max_reads_per_cycle=max_reads,
+            max_writes_per_cycle=max_writes,
             register_count=program.register_count,
             profile=profile,
         )

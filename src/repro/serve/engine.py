@@ -10,8 +10,8 @@ software.  A :class:`BatchEngine` owns
   cost,
 * a :class:`~repro.serve.cache.FlowArtifactCache` so the job-shop solve
   and register allocation are paid once per workload shape,
-* a resettable :class:`~repro.rtl.datapath.DatapathSimulator` reused
-  across requests,
+* one :class:`~repro.rtl.datapath.DatapathSimulator` reused across
+  requests,
 
 and exposes batch entry points — :meth:`batch_scalarmult`,
 :meth:`batch_dh`, :meth:`batch_verify` — with optional

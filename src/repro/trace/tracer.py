@@ -28,6 +28,11 @@ from ..field.fp2 import (
 )
 from .ops import MicroOp, OpKind, Unit
 
+_MUL, _SQR, _ADD, _SUB, _NEG, _CONJ, _SELECT, _CONST, _INPUT = (
+    OpKind.MUL, OpKind.SQR, OpKind.ADD, OpKind.SUB, OpKind.NEG, OpKind.CONJ,
+    OpKind.SELECT, OpKind.CONST, OpKind.INPUT,
+)
+
 
 class TracedValue(NamedTuple):
     """An SSA value handle: trace uid plus the concrete value.
@@ -63,38 +68,36 @@ class Tracer:
 
     # -- recording helpers -------------------------------------------
     def _emit(
-        self, kind: OpKind, srcs: Tuple[TracedValue, ...], value: Fp2Raw, name: str = ""
+        self, kind: OpKind, srcs: Tuple[int, ...], value: Fp2Raw, name: str = ""
     ) -> TracedValue:
-        uid = len(self.trace)
-        self.trace.append(
-            MicroOp(
-                uid=uid,
-                kind=kind,
-                srcs=tuple(s.uid for s in srcs),
-                value=value,
-                name=name,
-            )
-        )
-        return TracedValue(uid=uid, value=value)
+        """Append one micro-op; ``srcs`` are the source uids.
+
+        Runs once per recorded op on the serving path: positional
+        construction, no keyword or generator overhead.
+        """
+        trace = self.trace
+        uid = len(trace)
+        trace.append(MicroOp(uid, kind, srcs, value, name))
+        return TracedValue(uid, value)
 
     # -- Fp2Ops interface ---------------------------------------------
     def mul(self, a: TracedValue, b: TracedValue) -> TracedValue:
-        return self._emit(OpKind.MUL, (a, b), fp2_mul(a.value, b.value))
+        return self._emit(_MUL, (a.uid, b.uid), fp2_mul(a.value, b.value))
 
     def sqr(self, a: TracedValue) -> TracedValue:
-        return self._emit(OpKind.SQR, (a,), fp2_sqr(a.value))
+        return self._emit(_SQR, (a.uid,), fp2_sqr(a.value))
 
     def add(self, a: TracedValue, b: TracedValue) -> TracedValue:
-        return self._emit(OpKind.ADD, (a, b), fp2_add(a.value, b.value))
+        return self._emit(_ADD, (a.uid, b.uid), fp2_add(a.value, b.value))
 
     def sub(self, a: TracedValue, b: TracedValue) -> TracedValue:
-        return self._emit(OpKind.SUB, (a, b), fp2_sub(a.value, b.value))
+        return self._emit(_SUB, (a.uid, b.uid), fp2_sub(a.value, b.value))
 
     def neg(self, a: TracedValue) -> TracedValue:
-        return self._emit(OpKind.NEG, (a,), fp2_neg(a.value))
+        return self._emit(_NEG, (a.uid,), fp2_neg(a.value))
 
     def conj(self, a: TracedValue) -> TracedValue:
-        return self._emit(OpKind.CONJ, (a,), fp2_conj(a.value))
+        return self._emit(_CONJ, (a.uid,), fp2_conj(a.value))
 
     def select(self, chosen: TracedValue, *alternatives: TracedValue) -> TracedValue:
         """A constant-time mux: value of ``chosen``, dependency on all.
@@ -102,23 +105,26 @@ class Tracer:
         ``chosen`` must be one of ``alternatives``; the emitted SELECT op
         lists the chosen source first.
         """
-        if not any(chosen.uid == a.uid for a in alternatives):
+        c = chosen.uid
+        uids = [a.uid for a in alternatives]
+        if c not in uids:
             raise ValueError("chosen value is not among the alternatives")
-        others = tuple(a for a in alternatives if a.uid != chosen.uid)
-        return self._emit(OpKind.SELECT, (chosen,) + others, chosen.value)
+        return self._emit(
+            _SELECT, (c,) + tuple([u for u in uids if u != c]), chosen.value
+        )
 
     def const(self, value: Fp2Raw, name: str = "const") -> TracedValue:
         cached = self._const_cache.get(value)
         if cached is not None:
             return cached
-        tv = self._emit(OpKind.CONST, (), value, name)
+        tv = self._emit(_CONST, (), value, name)
         self._const_cache[value] = tv
         return tv
 
     # -- program boundary ----------------------------------------------
     def input(self, value: Fp2Raw, name: str) -> TracedValue:
         """Declare a register-file-preloaded input value."""
-        tv = self._emit(OpKind.INPUT, (), value, name)
+        tv = self._emit(_INPUT, (), value, name)
         self.inputs.append(tv.uid)
         return tv
 

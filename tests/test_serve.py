@@ -15,12 +15,19 @@ import pytest
 from repro.curve.params import SUBGROUP_ORDER_N
 from repro.curve.point import AffinePoint, random_subgroup_point
 from repro.curve.scalarmult import scalar_mul_fourq
-from repro.flow import run_flow
+from repro.flow import resolve_scheduler, run_flow
+from repro.rtl import DatapathSimulator
 from repro.sched.jobshop import MachineSpec
 from repro.serve import BatchEngine, BatchResult, BatchStats, Failed, percentile
 from repro.serve.cache import FlowArtifactCache, FlowArtifacts, trace_shape_key
 from repro.serve.engine import _chunk
-from repro.trace import trace_loop_iteration, trace_scalar_mult
+from repro.trace import Tracer
+from repro.trace import (
+    trace_double_scalar_mult,
+    trace_loop_iteration,
+    trace_msm_window,
+    trace_scalar_mult,
+)
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +114,87 @@ class TestHitMissEquivalence:
             assert cached.microprogram == plain.microprogram
             assert cached.simulation.outputs == plain.simulation.outputs
         assert cache.counters() == (5, 1, 0)
+
+
+def _scalar(seed: int) -> int:
+    return random.Random(seed).randrange(1, SUBGROUP_ORDER_N)
+
+
+#: One seeded trace per workload shape; any two seeds share the shape.
+DIFFERENTIAL_WORKLOADS = {
+    "loop_iteration": lambda seed: trace_loop_iteration(random.Random(seed)),
+    "scalar_mult": lambda seed: trace_scalar_mult(
+        k=_scalar(seed), self_check=False
+    ),
+    "double_scalar_mult": lambda seed: trace_double_scalar_mult(
+        u1=_scalar(seed),
+        u2=_scalar(seed + 100),
+        p2=random_subgroup_point(random.Random(seed)),
+        self_check=False,
+    ),
+    "msm_window": lambda seed: trace_msm_window(rng=random.Random(seed)),
+}
+
+
+def _simulated(sim):
+    return (
+        sim.outputs,
+        sim.cycles,
+        sim.profile,
+        sim.mult_stats,
+        sim.addsub_stats,
+        sim.max_reads_per_cycle,
+        sim.max_writes_per_cycle,
+        sim.register_count,
+    )
+
+
+class TestRebindDifferential:
+    """Rebound rows (cache hit) and assembled words (no cache) run alike."""
+
+    @pytest.mark.parametrize("workload", sorted(DIFFERENTIAL_WORKLOADS))
+    def test_rebound_rows_match_assembled_words(self, workload):
+        make = DIFFERENTIAL_WORKLOADS[workload]
+        cache = FlowArtifactCache()
+        run_flow(make(1), cache=cache)
+        hit = run_flow(make(2), cache=cache)
+        assert hit.cache_hit and not hit.fallback
+        plain = run_flow(make(2))
+        assert _simulated(hit.simulation) == _simulated(plain.simulation)
+        assert hit.microprogram == plain.microprogram
+
+        # Reading ``words`` makes them the program; the rerun decodes them.
+        assert len(hit.microprogram.words) == plain.microprogram.cycles
+        rerun = DatapathSimulator().run(hit.microprogram)
+        assert _simulated(rerun) == _simulated(plain.simulation)
+
+
+class TestLazySchedulerResolution:
+    def test_keyed_hit_never_resolves_auto(self, monkeypatch):
+        """"auto" costs a walk over the trace; a keyed hit skips it."""
+        cache = FlowArtifactCache()
+        miss = run_flow(trace_loop_iteration(random.Random(3)), cache=cache)
+        calls = []
+        original = Tracer.arithmetic_size
+        monkeypatch.setattr(
+            Tracer, "arithmetic_size", lambda self: calls.append(self) or original(self)
+        )
+        hit = run_flow(
+            trace_loop_iteration(random.Random(4)),
+            cache=cache,
+            cache_key=miss.cache_key,
+        )
+        assert hit.cache_hit and calls == []
+
+        # A stale caller key misses: the full flow resolves "auto" and
+        # files its artifacts under the resolved scheduler's key.
+        prog = trace_loop_iteration(random.Random(5))
+        stale = run_flow(prog, cache=FlowArtifactCache(), cache_key="0" * 64)
+        assert not stale.cache_hit and calls
+        resolved = resolve_scheduler("auto", prog)
+        assert stale.cache_key == trace_shape_key(
+            prog.tracer.trace, MachineSpec(), resolved
+        )
 
 
 class TestLRUBound:
