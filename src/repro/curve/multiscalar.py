@@ -48,11 +48,13 @@ from .edwards import (
     r2_negate,
     r2_select,
 )
-from .endomorphisms import (
-    EndomorphismProvider,
-    default_decomposer,
-    default_endomorphisms,
+from .endomaps import (
+    CompiledEndo,
+    apply_compiled_endo_frac,
+    compile_endomorphisms,
+    frac_to_r1,
 )
+from .endomorphisms import default_decomposer
 from .params import SUBGROUP_ORDER_N, is_on_curve
 from .point import AffinePoint
 from .recoding import recode_glv_sac
@@ -262,17 +264,24 @@ def multi_scalar_mul_pippenger(
     return AffinePoint(x, y, check=False)
 
 
+@lru_cache(maxsize=1)
+def _compiled_endomorphisms() -> Tuple[CompiledEndo, CompiledEndo]:
+    return compile_endomorphisms()
+
+
 def multi_scalar_mul_straus(
     scalars: Sequence[int],
     points: Sequence[AffinePoint],
-    endo: Optional[EndomorphismProvider] = None,
     decomposer: Optional[FourQDecomposer] = None,
 ) -> AffinePoint:
     """Compute sum_i [k_i] P_i with one shared doubling chain.
 
     Each point pays the 4-D GLV+GLS setup (endomorphism images plus an
     8-entry table) and the recoded digits interleave over a single
-    64-iteration double-and-add loop.
+    64-iteration double-and-add loop.  The images phi(P), psi(P) and
+    psi(phi(P)) come from the compiled, inversion-free maps the traced
+    scalar multiplication runs (:func:`~repro.curve.endomaps.compile_endomorphisms`),
+    straight into R1 coordinates.
 
     Args:
         scalars: any integers (reduced mod N internally).
@@ -291,21 +300,21 @@ def multi_scalar_mul_straus(
     ]
     if not pairs:
         return AffinePoint.identity()
-    endo = endo or default_endomorphisms()
+    phi_c, psi_c = _compiled_endomorphisms()
     decomposer = decomposer or default_decomposer()
 
     tables = []
     recs = []
+    one = (1, 0)
     for k, pt in pairs:
-        phi_p = endo.phi(pt)
-        psi_p = endo.psi(pt)
-        psiphi_p = endo.psi(phi_p)
+        fx, fy = (pt.x, one), (pt.y, one)
+        fx_phi, fy_phi = apply_compiled_endo_frac(phi_c, fx, fy)
         tables.append(
             build_table(
                 point_r1_from_affine(pt.x, pt.y),
-                point_r1_from_affine(phi_p.x, phi_p.y),
-                point_r1_from_affine(psi_p.x, psi_p.y),
-                point_r1_from_affine(psiphi_p.x, psiphi_p.y),
+                frac_to_r1(fx_phi, fy_phi),
+                frac_to_r1(*apply_compiled_endo_frac(psi_c, fx, fy)),
+                frac_to_r1(*apply_compiled_endo_frac(psi_c, fx_phi, fy_phi)),
             )
         )
         dec = decomposer.decompose(k)
@@ -340,7 +349,6 @@ def multi_scalar_mul_straus(
 def multi_scalar_mul(
     scalars: Sequence[int],
     points: Sequence[AffinePoint],
-    endo: Optional[EndomorphismProvider] = None,
     decomposer: Optional[FourQDecomposer] = None,
     method: str = "auto",
 ) -> AffinePoint:
@@ -350,7 +358,7 @@ def multi_scalar_mul(
     (non-identity, nonzero scalar mod N) and uses Straus-Shamir below
     :data:`PIPPENGER_CROSSOVER`, the Pippenger bucket method at or
     above it.  ``"straus"`` / ``"pippenger"`` force a path (the
-    ``endo``/``decomposer`` overrides only apply to Straus).
+    ``decomposer`` override only applies to Straus).
 
     Args:
         scalars: any integers (reduced mod N internally).
@@ -375,7 +383,7 @@ def multi_scalar_mul(
         method = "pippenger" if live >= PIPPENGER_CROSSOVER else "straus"
     if method == "pippenger":
         return multi_scalar_mul_pippenger(scalars, points)
-    return multi_scalar_mul_straus(scalars, points, endo=endo, decomposer=decomposer)
+    return multi_scalar_mul_straus(scalars, points, decomposer=decomposer)
 
 
 @lru_cache(maxsize=4096)

@@ -61,20 +61,27 @@ OPT_SEGMENTS = "repro_opt_segments_total"
 AUTO_CP_MAX_OPS = 64
 
 
+def auto_scheduler(arithmetic_ops: int) -> str:
+    """The scheduler ``"auto"`` means for a trace of this many arithmetic ops.
+
+    The one home of the rule: :func:`resolve_scheduler` and the cache
+    keying (:func:`repro.serve.cache.shape_key`) both apply it, so an
+    ``"auto"`` request and the explicit ``"cp"``/``"list"`` request for
+    the same trace share one cache entry (they produce byte-identical
+    artifacts).
+    """
+    return "cp" if arithmetic_ops <= AUTO_CP_MAX_OPS else "list"
+
+
 def resolve_scheduler(scheduler: str, trace_program: TraceProgram) -> str:
     """Resolve ``"auto"`` to the concrete scheduler for this trace.
 
-    Shared with the cache keying: the shape key must be computed from
-    the *resolved* name, or an ``"auto"`` request and an explicit
-    ``"cp"``/``"list"`` request for the same trace fragment into two
-    cache entries holding byte-identical artifacts.  Resolution uses
-    the original trace's arithmetic-op count, so it never depends on
-    whether the optimizer runs.
+    Resolution uses the original trace's arithmetic-op count, so it
+    never depends on whether the optimizer runs.
     """
     if scheduler != "auto":
         return scheduler
-    size = trace_program.tracer.arithmetic_size()
-    return "cp" if size <= AUTO_CP_MAX_OPS else "list"
+    return auto_scheduler(trace_program.tracer.arithmetic_size())
 
 
 def _record_opt(obs: MetricsRegistry, stats: OptStats) -> None:
@@ -141,7 +148,7 @@ class FlowResult:
 
 def _output_names(trace_program: TraceProgram) -> Dict[int, str]:
     tracer = trace_program.tracer
-    return {uid: tracer.trace[uid].name for uid in tracer.outputs}
+    return {uid: tracer.names.get(uid, "") for uid in tracer.outputs}
 
 
 def _verify_outputs(
@@ -163,7 +170,7 @@ def _verify_outputs(
             raise SimulationError(
                 f"output {name} missing from the simulation outputs"
             )
-        if sim.outputs[name] != tracer.trace[uid].value:
+        if sim.outputs[name] != tracer.values[uid]:
             raise SimulationError(
                 f"output {name} diverged from the traced reference"
             )
@@ -257,7 +264,7 @@ def run_flow(
         raise ValueError(f"unknown scheduler {scheduler!r}")
     # "auto" is resolved only when the full flow runs: a hit through a
     # caller-supplied key never needs it, and a computed shape key
-    # resolves it itself (trace_shape_key).
+    # resolves it itself (shape_key).
 
     opt_stats: Optional[OptStats] = None
     work_program = trace_program
@@ -361,7 +368,7 @@ def run_flow(
             alloc=alloc,
             output_names=_output_names(work_program),
         )
-        microprogram = template.rebind(tracer.trace)
+        microprogram = template.rebind(tracer)
     else:
         microprogram = assemble(
             problem,
@@ -428,26 +435,17 @@ def _run_from_artifacts(
     """The cache-hit fast path: rebind + simulate, no solve.
 
     Reuses the cached problem/schedule/allocation; rebinds the cached
-    decoded ROM rows to this trace's mux routings and input values; runs
-    the golden-checked simulation; verifies the outputs against the
-    traced reference.  Any failure propagates so the caller can fall
-    back to the full flow.
+    decoded ROM rows to this recording's columns (mux routings, input
+    values, golden vector); runs the golden-checked simulation; verifies
+    the outputs against the traced reference.  Never materializes the
+    recording's :class:`~repro.trace.ops.MicroOp` view.  Any failure
+    propagates so the caller can fall back to the full flow.
     """
     obs = metrics if metrics is not None else get_registry()
-    tracer = trace_program.tracer
+    if entry.template is None:
+        raise ValueError(f"cache entry {entry.key} holds no program template")
     t0 = perf_counter()
-    if entry.template is not None:
-        microprogram = entry.template.rebind(tracer.trace)
-    else:
-        microprogram = assemble(
-            entry.problem,
-            entry.schedule,
-            tracer.trace,
-            tracer.outputs,
-            output_names=_output_names(trace_program),
-            alloc=entry.alloc,
-            validate=False,
-        )
+    microprogram = entry.template.rebind(trace_program.tracer)
     obs.histogram(FLOW_STAGE_SECONDS, stage="rebind").observe(perf_counter() - t0)
     t0 = perf_counter()
     sim_engine = simulator or DatapathSimulator(

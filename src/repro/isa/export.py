@@ -54,7 +54,7 @@ def export_program_json(program: MicroProgram, fsm: FSMController = None) -> str
         "cycles": program.cycles,
         "preload": {str(r): _fp2_to_hex(v) for r, v in program.preload.items()},
         "outputs": dict(program.outputs),
-        "golden": {str(u): _fp2_to_hex(v) for u, v in program.golden.items()},
+        "golden": {str(u): _fp2_to_hex(v) for u, v in enumerate(program.golden)},
     }
     payload["digest"] = sha256_hex(
         json.dumps(

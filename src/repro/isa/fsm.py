@@ -17,7 +17,14 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..trace.ops import OpKind, Unit
-from .microcode import ControlWord, MicroProgram, OperandSource
+from .microcode import (
+    FWD_ADDSUB,
+    FWD_MULT,
+    ControlWord,
+    MicroProgram,
+    OperandSource,
+    Row,
+)
 
 #: Addsub-unit opcode encoding used in the control word.
 ADDSUB_OPCODES: Dict[OpKind, int] = {
@@ -59,10 +66,16 @@ class FSMController:
         )
 
 
-def _encode_word(
-    word: ControlWord, reg_bits: int
-) -> int:
-    """Pack one control word into an integer ROM entry.
+#: Source select of a register operand, and of each forwarding code.
+_REGISTER_SOURCE = SOURCE_CODES[OperandSource.REGISTER]
+_SOURCE_OF_CODE: Dict[int, int] = {
+    FWD_MULT: SOURCE_CODES[OperandSource.FORWARD_MULT],
+    FWD_ADDSUB: SOURCE_CODES[OperandSource.FORWARD_ADDSUB],
+}
+
+
+def _encode_row(row: Row, reg_bits: int) -> int:
+    """Pack one decoded control word into an integer ROM entry.
 
     Layout (LSB first):
       [0]               mult enable
@@ -73,44 +86,31 @@ def _encode_word(
       per write port (2 ports):
         1-bit enable + 1-bit unit select + reg_bits address
     """
+    wbs, mult, addsub = row
+    field_bits = 2 + reg_bits
     val = 0
-    pos = 0
-
-    def put(bits: int, width: int) -> None:
-        nonlocal val, pos
-        if bits >= (1 << width):
+    if mult:
+        val |= 1
+    if addsub:
+        val |= 2 | ADDSUB_OPCODES.get(addsub[0], 0) << 2
+    pos = 5
+    for issue in (mult, addsub):
+        if issue:
+            slot = pos
+            for code in issue[1][:2]:
+                if code >= 0:
+                    if code >> reg_bits:
+                        raise ValueError("field overflow in control word encoding")
+                    val |= (_REGISTER_SOURCE | code << 2) << slot
+                else:
+                    val |= _SOURCE_OF_CODE[code] << slot
+                slot += field_bits
+        pos += 2 * field_bits
+    for reg, is_mult, _ in wbs[:2]:
+        if reg >> reg_bits:
             raise ValueError("field overflow in control word encoding")
-        val |= bits << pos
-        pos += width
-
-    put(1 if word.mult else 0, 1)
-    put(1 if word.addsub else 0, 1)
-    put(ADDSUB_OPCODES.get(word.addsub.kind, 0) if word.addsub else 0, 3)
-    slots = []
-    for issue in (word.mult, word.addsub):
-        ops = list(issue.operands) if issue else []
-        while len(ops) < 2:
-            ops.append(None)
-        slots.extend(ops[:2])
-    for op in slots:
-        if op is None:
-            put(0, 2)
-            put(0, reg_bits)
-        else:
-            put(SOURCE_CODES[op.source], 2)
-            put(op.register if op.register >= 0 else 0, reg_bits)
-    wbs = list(word.writebacks)[:2]
-    while len(wbs) < 2:
-        wbs.append(None)
-    for wb in wbs:
-        if wb is None:
-            put(0, 1)
-            put(0, 1)
-            put(0, reg_bits)
-        else:
-            put(1, 1)
-            put(1 if wb.unit is Unit.MULTIPLIER else 0, 1)
-            put(wb.register, reg_bits)
+        val |= (1 | (2 if is_mult else 0) | reg << 2) << pos
+        pos += field_bits
     return val
 
 
@@ -123,7 +123,7 @@ def decode_word(
 ) -> ControlWord:
     """Unpack a ROM entry back into a :class:`ControlWord`.
 
-    The inverse of :func:`_encode_word`; used to prove the ROM image is
+    The inverse of :func:`_encode_row`; used to prove the ROM image is
     faithful (decode(encode(w)) == w up to the multiplier's MUL/SQR
     distinction, which the hardware does not need — a squaring is a
     multiplication with both operands wired to the same source, so the
@@ -184,7 +184,7 @@ def generate_fsm(program: MicroProgram) -> FSMController:
     """Generate the ROM image + FSM description for a microprogram."""
     reg_bits = max(1, math.ceil(math.log2(max(program.register_count, 2))))
     word_bits = 1 + 1 + 3 + 4 * (2 + reg_bits) + 2 * (2 + reg_bits)
-    rom = [_encode_word(w, reg_bits) for w in program.words]
+    rom = [_encode_row(row, reg_bits) for row in program.decode()]
     addr_bits = max(1, math.ceil(math.log2(max(len(rom), 2))))
     return FSMController(
         rom=rom,

@@ -7,11 +7,13 @@ in one cycle: what each functional unit issues (with operand sources:
 register file ports or forwarding paths) and which results are written
 back to which registers.
 
-The simulator runs the same ROM in decoded form: one flat :data:`Row`
-of ints and tuples per cycle (:func:`decode_words`).  A
-:class:`ProgramTemplate` keeps that table per workload shape, so a
-cache hit patches the mux-fed operand slots and builds no per-cycle
-objects.
+The program itself is held in decoded form: one flat :data:`Row` of
+ints and tuples per cycle, which the simulator runs and the FSM
+generator packs into the ROM image; :class:`ControlWord` objects are
+built from the rows only when read (:func:`encode_rows`,
+:func:`decode_words`).  A :class:`ProgramTemplate` keeps the row table
+per workload shape, so :func:`assemble` and a cache hit alike patch the
+mux-fed operand slots and build no per-cycle objects.
 """
 
 from __future__ import annotations
@@ -19,12 +21,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..sched.jobshop import JobShopProblem
 from ..sched.schedule import Schedule
 from ..trace.ops import MicroOp, OpKind, Unit
 from .regalloc import Allocation, allocate_registers
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from ..trace.tracer import Tracer
 
 
 class OperandSource(enum.Enum):
@@ -161,12 +166,13 @@ def encode_rows(rows: Sequence[Row]) -> List[ControlWord]:
 class MicroProgram:
     """The assembled program: ROM image + register-file preload + outputs.
 
-    A program holds its ROM either as :class:`ControlWord` objects
-    (``words``, what :func:`assemble` emits) or as the decoded rows a
-    :class:`ProgramTemplate` rebinds (see :meth:`decode`).  ``words`` is
-    built from the rows on first read and from then on *is* the program:
-    the simulator decodes it afresh on every run, so in-place edits to
-    the words are always what executes.
+    A program holds its ROM as the decoded rows a
+    :class:`ProgramTemplate` binds (see :meth:`decode`) or as
+    :class:`ControlWord` objects.  ``words`` is built from the rows on
+    first read and from then on *is* the program: the simulator decodes
+    it afresh on every run, so in-place edits to the words are always
+    what executes.  ``golden`` holds the expected value of every uid
+    (for a cache hit, the recording's own ``values`` column).
     """
 
     def __init__(
@@ -174,7 +180,7 @@ class MicroProgram:
         preload: Dict[int, Tuple[int, int]],
         register_count: int,
         outputs: Dict[str, int],
-        golden: Dict[int, Tuple[int, int]],
+        golden: List[Tuple[int, int]],
         uid_reg: Dict[int, int],
         words: Optional[List[ControlWord]] = None,
         rows: Optional[List[Row]] = None,
@@ -184,7 +190,7 @@ class MicroProgram:
         self.preload = preload
         self.register_count = register_count
         self.outputs = outputs            # output name -> register
-        self.golden = golden              # uid -> expected value (self-check)
+        self.golden = golden              # expected value by uid (self-check)
         self.uid_reg = uid_reg
         self._words = words
         self._rows = rows
@@ -250,86 +256,20 @@ def assemble(
     earlier same-shape trace (allocation depends only on the schedule
     and the dependence structure, not on the concrete values), and
     ``validate=False`` skips re-validating a schedule already validated
-    for this shape — the fast path of the serve-layer artifact cache.
+    for this shape.  The program is the :class:`ProgramTemplate` of the
+    shape bound to ``trace`` (whose uids are its positions, as every
+    :class:`~repro.trace.tracer.Tracer` recording's are), so it holds
+    decoded rows; ``words`` are built on first read.
 
     Raises ScheduleError (via validate) or ValueError on inconsistency.
     """
-    from ..sched.jobshop import resolve_select_chosen
-
     if validate:
         schedule.validate()
     if alloc is None:
         alloc = allocate_registers(problem, schedule, trace, outputs)
-    lat = problem.machine.latency
-    start = schedule.start
-    op_of_uid = {op.uid: op for op in trace}
-
-    n_cycles = schedule.makespan + 1
-    words = [ControlWord(cycle=c) for c in range(n_cycles)]
-
-    unit_result_uid: Dict[Tuple[Unit, int], int] = {}
-    for t in problem.tasks:
-        unit_result_uid[(t.unit, start[t.index] + lat(t.unit))] = t.uid
-
-    for t in problem.tasks:
-        op = op_of_uid[t.uid]
-        cyc = start[t.index]
-        operands: List[Operand] = []
-        srcs = op.srcs if op.kind not in (OpKind.SQR,) else (op.srcs[0], op.srcs[0])
-        for s in srcs:
-            s = resolve_select_chosen(op_of_uid, s)
-            producer_idx = problem.uid_to_index.get(s)
-            if producer_idx is not None:
-                p_unit = problem.tasks[producer_idx].unit
-                avail = start[producer_idx] + lat(p_unit)
-                if problem.machine.forwarding and cyc == avail:
-                    operands.append(
-                        Operand(
-                            source=OperandSource.FORWARD_MULT
-                            if p_unit is Unit.MULTIPLIER
-                            else OperandSource.FORWARD_ADDSUB
-                        )
-                    )
-                    continue
-            operands.append(
-                Operand(source=OperandSource.REGISTER, register=alloc.reg_of[s])
-            )
-        issue = UnitIssue(kind=op.kind, operands=tuple(operands), dest_uid=t.uid)
-        word = words[cyc]
-        if t.unit is Unit.MULTIPLIER:
-            if word.mult is not None:
-                raise ValueError(f"multiplier double-issue at cycle {cyc}")
-            word.mult = issue
-        else:
-            if word.addsub is not None:
-                raise ValueError(f"addsub double-issue at cycle {cyc}")
-            word.addsub = issue
-        wb_cycle = cyc + lat(t.unit)
-        wb = Writeback(register=alloc.reg_of[t.uid], unit=t.unit, uid=t.uid)
-        words[wb_cycle].writebacks = words[wb_cycle].writebacks + (wb,)
-
-    names = output_names or {}
-    out_map = {}
-    for uid in outputs:
-        name = names.get(uid) or op_of_uid[uid].name or f"v{uid}"
-        out_map[name] = alloc.reg_of[resolve_select_chosen(op_of_uid, uid)]
-
-    golden = {op.uid: op.value for op in trace}
-    # Preload is rebuilt from the trace at hand (not alloc.preload):
-    # with a reused same-shape allocation the register mapping carries
-    # over but the concrete input/constant values belong to this trace.
-    preload = {
-        alloc.reg_of[op.uid]: op.value
-        for op in trace
-        if op.kind in (OpKind.CONST, OpKind.INPUT)
-    }
-    return MicroProgram(
-        words=words,
-        preload=preload,
-        register_count=alloc.register_count,
-        outputs=out_map,
-        golden=golden,
-        uid_reg=dict(alloc.reg_of),
+    template = build_template(problem, schedule, trace, outputs, alloc, output_names)
+    return template.bind(
+        [op.kind for op in trace], [op.srcs for op in trace], [op.value for op in trace]
     )
 
 
@@ -360,17 +300,29 @@ class ProgramTemplate:
     out_select: Tuple[Tuple[str, int], ...]     # (name, select uid)
     reg_of: Dict[int, int]
 
-    def rebind(self, trace: Sequence[MicroOp]) -> MicroProgram:
-        """Assemble a program for a new same-shape trace.
+    def rebind(self, tracer: "Tracer") -> MicroProgram:
+        """Assemble a program for a new same-shape recording.
 
-        Raises ValueError on a length mismatch and KeyError when a mux
+        Reads the tracer's columns only: mux leaves resolve through
+        ``srcs[uid][0]``, the preload and the golden vector come from
+        ``values`` (the golden vector *is* that column).  Raises
+        ValueError on a length mismatch and KeyError when a mux
         resolves to a leaf outside the precomputed set — both signal a
         shape mismatch; callers (the flow's cached fast path) catch
         them and fall back to the full flow.
         """
-        if len(trace) != self.n_trace:
+        return self.bind(tracer.kinds, tracer.srcs, tracer.values)
+
+    def bind(
+        self,
+        kinds: Sequence[OpKind],
+        srcs: Sequence[Tuple[int, ...]],
+        values: List[Tuple[int, int]],
+    ) -> MicroProgram:
+        """:meth:`rebind` on bare ``kinds`` / ``srcs`` / ``values`` columns."""
+        if len(kinds) != self.n_trace:
             raise ValueError(
-                f"trace has {len(trace)} ops, template expects {self.n_trace}"
+                f"trace has {len(kinds)} ops, template expects {self.n_trace}"
             )
         rows = list(self.rows)
         select = OpKind.SELECT
@@ -378,25 +330,23 @@ class ProgramTemplate:
             row = rows[cyc]
             kind, codes, dest = row[pos]
             codes = list(codes)
-            for idx, suid, premap in slots:
-                op = trace[suid]
-                while op.kind is select:
-                    op = trace[op.srcs[0]]
-                codes[idx] = premap[op.uid]
+            for idx, uid, premap in slots:
+                while kinds[uid] is select:
+                    uid = srcs[uid][0]
+                codes[idx] = premap[uid]
             issue = (kind, tuple(codes), dest)
             rows[cyc] = (row[0], issue, row[2]) if pos == 1 else (row[0], row[1], issue)
         outputs = dict(self.out_static)
-        for name, suid in self.out_select:
-            op = trace[suid]
-            while op.kind is select:
-                op = trace[op.srcs[0]]
-            outputs[name] = self.reg_of[op.uid]
+        for name, uid in self.out_select:
+            while kinds[uid] is select:
+                uid = srcs[uid][0]
+            outputs[name] = self.reg_of[uid]
         return MicroProgram(
             rows=rows,
-            preload={reg: trace[uid].value for uid, reg in self.preload_slots},
+            preload={reg: values[uid] for uid, reg in self.preload_slots},
             register_count=self.register_count,
             outputs=outputs,
-            golden={op.uid: op.value for op in trace},
+            golden=values,
             uid_reg=self.reg_of,
         )
 
@@ -411,9 +361,10 @@ def build_template(
 ) -> ProgramTemplate:
     """Build a :class:`ProgramTemplate` from one solved shape instance.
 
-    The reference ``trace`` only contributes structure; ``rebind`` with
-    the same trace reproduces exactly what :func:`assemble` emits for
-    it (the hit/miss equivalence tests pin this down).
+    The reference ``trace`` only contributes structure: the template
+    bound to any same-shape recording is that recording's program
+    (:func:`assemble` is this function plus :meth:`ProgramTemplate.bind`
+    on its own trace).
     """
     from ..sched.jobshop import resolve_select_all, resolve_select_chosen
 

@@ -37,7 +37,7 @@ from typing import Dict, List, Set, Tuple
 
 from ..trace.ops import MicroOp, OpKind
 from ..trace.program import TraceProgram
-from ..trace.tracer import TracedValue, Tracer
+from ..trace.tracer import Tracer
 
 #: Optimization levels accepted by :func:`repro.flow.run_flow`.
 OPT_LEVELS = ("none", "cse", "full")
@@ -179,8 +179,8 @@ def optimize_trace(
                 stack.append(canonical)
 
     # ---- rebuild: renumber surviving ops, remap sources --------------
+    new_tracer = Tracer()
     new_uid: Dict[int, int] = {}
-    new_trace: List[MicroOp] = []
     # kept_prefix[p] = surviving ops before old position p (old uid ==
     # old position), for remapping the section boundaries below.
     kept_prefix: List[int] = []
@@ -188,7 +188,7 @@ def optimize_trace(
     arith_after = 0
     for op in trace:
         uid = op.uid
-        kept_prefix.append(len(new_trace))
+        kept_prefix.append(len(new_tracer.kinds))
         if remap[uid] != uid:
             continue  # merged away by CSE / const dedup
         kind = op.kind
@@ -204,36 +204,29 @@ def optimize_trace(
             rewritten = op
         if kind not in non_arith:
             arith_after += 1
-        nid = len(new_trace)
-        new_uid[uid] = nid
-        new_trace.append(
-            MicroOp(
-                nid,
-                kind,
-                tuple(new_uid[remap[s]] for s in rewritten.srcs),
-                rewritten.value,
-                rewritten.name,
-            )
+        new_uid[uid] = new_tracer.record(
+            kind,
+            tuple(new_uid[remap[s]] for s in rewritten.srcs),
+            rewritten.value,
+            rewritten.name,
         )
-    kept_prefix.append(len(new_trace))
+    kept_prefix.append(len(new_tracer.kinds))
     stats.dve_removed = removed_dead
 
-    new_tracer = Tracer()
-    new_tracer.trace = new_trace
     new_tracer.inputs = [new_uid[u] for u in tracer.inputs]
     new_tracer.outputs = [new_uid[remap[u]] for u in tracer.outputs]
     new_tracer.live = [new_uid[remap[u]] for u in getattr(tracer, "live", ())]
     new_tracer._const_cache = {
-        op.value: TracedValue(op.uid, op.value)
-        for op in new_trace
-        if op.kind is const_kind
+        new_tracer.values[uid]: uid
+        for uid, kind in enumerate(new_tracer.kinds)
+        if kind is const_kind
     }
     new_tracer.sections = [
         (name, kept_prefix[lo], kept_prefix[hi])
         for name, lo, hi in tracer.sections
     ]
 
-    stats.ops_after = len(new_trace)
+    stats.ops_after = len(new_tracer.kinds)
     stats.arith_after = arith_after
     optimized = TraceProgram(
         tracer=new_tracer,

@@ -81,5 +81,10 @@ class AddSubUnit:
         return result
 
     @property
+    def output(self) -> Optional[Fp2Raw]:
+        """The value leaving the final stage at the next :meth:`tick`."""
+        return self._pipe[-1]
+
+    @property
     def busy(self) -> bool:
         return any(v is not None for v in self._pipe)

@@ -31,32 +31,36 @@ from ..sched.jobshop import JobShopProblem, MachineSpec
 from ..sched.schedule import Schedule
 from ..trace.ops import MicroOp, OpKind
 from ..trace.program import TraceProgram
+from ..trace.tracer import count_arithmetic
 
 
-def trace_shape_key(
-    trace: Sequence[MicroOp],
+def shape_key(
+    kinds: Sequence[OpKind],
+    srcs: Sequence[Tuple[int, ...]],
     machine: MachineSpec,
     scheduler: str,
     optimize: str = "none",
 ) -> str:
-    """Canonical digest of a trace's structure (values excluded).
+    """Canonical digest of a recording's structure (values excluded).
 
-    Two traces of the same workload — any scalar, any point — hash
-    identically: op kinds and dependency uids are emission-order stable,
-    and SELECT sources (whose order encodes the data-dependent chosen
-    alternative) are sorted before hashing.
+    Reads the ``kinds`` / ``srcs`` columns of a
+    :class:`~repro.trace.tracer.Tracer`.  Two traces of the same
+    workload — any scalar, any point — hash identically: op kinds and
+    dependency uids are emission-order stable, and SELECT sources
+    (whose order encodes the data-dependent chosen alternative) are
+    sorted before hashing.
 
     ``scheduler="auto"`` is resolved to its concrete choice *before*
-    keying, so an ``"auto"`` request and the equivalent explicit request
-    share one entry (they produce byte-identical artifacts).  The
-    ``optimize`` level is folded into the digest: the optimizer rewrites
-    the scheduled shape, so artifacts must never cross levels.
+    keying (:func:`repro.flow.auto_scheduler` on the arithmetic-op
+    count), so an ``"auto"`` request and the equivalent explicit request
+    share one entry.  The ``optimize`` level is folded into the digest:
+    the optimizer rewrites the scheduled shape, so artifacts must never
+    cross levels.
     """
     if scheduler == "auto":
-        from ..flow import AUTO_CP_MAX_OPS
+        from ..flow import auto_scheduler
 
-        arith = sum(1 for op in trace if op.is_arithmetic)
-        scheduler = "cp" if arith <= AUTO_CP_MAX_OPS else "list"
+        scheduler = auto_scheduler(count_arithmetic(kinds))
     select = OpKind.SELECT
     parts = [
         f"machine:{machine.mult_latency},{machine.addsub_latency},"
@@ -66,10 +70,26 @@ def trace_shape_key(
     # One string-build + one hash update: this runs per request on the
     # serving hot path, so per-op update() calls are avoided.
     parts.extend(
-        op.kind.value + str(tuple(sorted(op.srcs)) if op.kind is select else op.srcs)
-        for op in trace
+        kind.value + str(tuple(sorted(s)) if kind is select else s)
+        for kind, s in zip(kinds, srcs)
     )
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
+
+
+def trace_shape_key(
+    trace: Sequence[MicroOp],
+    machine: MachineSpec,
+    scheduler: str,
+    optimize: str = "none",
+) -> str:
+    """:func:`shape_key` of a :class:`MicroOp` sequence."""
+    return shape_key(
+        [op.kind for op in trace],
+        [op.srcs for op in trace],
+        machine,
+        scheduler,
+        optimize,
+    )
 
 
 @dataclass
@@ -136,8 +156,9 @@ class FlowArtifactCache:
         scheduler: str = "auto",
         optimize: str = "none",
     ) -> str:
-        return trace_shape_key(
-            trace_program.tracer.trace, machine or MachineSpec(), scheduler, optimize
+        tracer = trace_program.tracer
+        return shape_key(
+            tracer.kinds, tracer.srcs, machine or MachineSpec(), scheduler, optimize
         )
 
     def get(self, key: str) -> Optional[FlowArtifacts]:

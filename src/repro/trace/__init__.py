@@ -15,13 +15,12 @@ from .program import (
     trace_msm_window,
     trace_scalar_mult,
 )
-from .tracer import TracedValue, Tracer
+from .tracer import Tracer
 
 __all__ = [
     "MicroOp",
     "OpKind",
     "TraceProgram",
-    "TracedValue",
     "Tracer",
     "UNIT_OF",
     "Unit",

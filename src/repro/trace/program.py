@@ -54,7 +54,7 @@ class TraceProgram:
     @property
     def size(self) -> int:
         """Total number of trace entries (including consts/inputs)."""
-        return len(self.tracer.trace)
+        return len(self.tracer.kinds)
 
     @property
     def arithmetic_size(self) -> int:
@@ -62,15 +62,16 @@ class TraceProgram:
 
     def section_counts(self) -> Dict[str, Tuple[int, int]]:
         """Per-section (multiplier_ops, addsub_ops) totals."""
-        from .ops import Unit
+        from .ops import UNIT_OF, Unit
 
         out: Dict[str, Tuple[int, int]] = {}
         for name, start, end in self.tracer.sections:
             m = a = 0
-            for op in self.tracer.trace[start:end]:
-                if op.unit is Unit.MULTIPLIER:
+            for kind in self.tracer.kinds[start:end]:
+                unit = UNIT_OF[kind]
+                if unit is Unit.MULTIPLIER:
                     m += 1
-                elif op.unit is Unit.ADDSUB:
+                elif unit is Unit.ADDSUB:
                     a += 1
             key = name
             if key in out:
@@ -250,7 +251,7 @@ def trace_double_scalar_mult(
     expected = None
     if self_check:
         expected = (u1 % SUBGROUP_ORDER_N) * p1 + (u2 % SUBGROUP_ORDER_N) * p2
-        if (x_out.value, y_out.value) != (expected.x, expected.y):
+        if (tracer.values[x_out], tracer.values[y_out]) != (expected.x, expected.y):
             raise AssertionError("traced double-scalar execution diverged")
     return TraceProgram(
         tracer=tracer,
@@ -423,8 +424,9 @@ def trace_msm_window(
         expected = expected + digit * pt
     from ..field.fp2 import fp2_inv as _inv, fp2_mul as _mul
 
-    zx = _inv(acc.z.value)
-    got = (_mul(acc.x.value, zx), _mul(acc.y.value, zx))
+    values = tracer.values
+    zx = _inv(values[acc.z])
+    got = (_mul(values[acc.x], zx), _mul(values[acc.y], zx))
     if got != (expected.x, expected.y):
         raise AssertionError("traced MSM window diverged from the reference")
     # Cross-check the inlined kernel against the serving-path helper.
@@ -554,7 +556,7 @@ def trace_scalar_mult(
     if self_check:
         expected = (k % SUBGROUP_ORDER_N) * point
         # Self-check: the recorded concrete values must equal the reference.
-        if (x_out.value, y_out.value) != (expected.x, expected.y):
+        if (tracer.values[x_out], tracer.values[y_out]) != (expected.x, expected.y):
             raise AssertionError("traced execution diverged from the reference")
     return TraceProgram(
         tracer=tracer,

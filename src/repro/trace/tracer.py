@@ -9,13 +9,17 @@ Algorithm 1) with a Tracer as the ops object records the exact
 micro-operation sequence while simultaneously computing concrete values
 (so the trace is self-checking).
 
-Traced values are opaque handles (:class:`TracedValue`); arithmetic on
-them appends :class:`MicroOp` records with SSA-style dependencies.
+The recording is kept as flat columns indexed by uid — ``kinds``,
+``srcs``, ``values`` — plus a ``{uid: name}`` map, and a traced value
+is just its uid (a plain int).  A cache hit reads only the columns;
+the :class:`MicroOp` view :attr:`Tracer.trace` is built on first read,
+for the stages that derive a schedule (problem, regalloc, template,
+optimizer).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..field.fp2 import (
     Fp2Raw,
@@ -26,30 +30,31 @@ from ..field.fp2 import (
     fp2_sqr,
     fp2_sub,
 )
-from .ops import MicroOp, OpKind, Unit
+from .ops import UNIT_OF, MicroOp, OpKind, Unit
 
 _MUL, _SQR, _ADD, _SUB, _NEG, _CONJ, _SELECT, _CONST, _INPUT = (
     OpKind.MUL, OpKind.SQR, OpKind.ADD, OpKind.SUB, OpKind.NEG, OpKind.CONJ,
     OpKind.SELECT, OpKind.CONST, OpKind.INPUT,
 )
 
+#: Op kinds that occupy a functional unit.
+ARITHMETIC_KINDS = frozenset(k for k, u in UNIT_OF.items() if u is not Unit.NONE)
 
-class TracedValue(NamedTuple):
-    """An SSA value handle: trace uid plus the concrete value.
 
-    A NamedTuple (not a frozen dataclass) — one is constructed per
-    emitted micro-op, so construction cost matters on the serving path.
-    """
-
-    uid: int
-    value: Fp2Raw
-
-    def __repr__(self) -> str:
-        return f"v{self.uid}"
+def count_arithmetic(kinds: Iterable[OpKind]) -> int:
+    """Number of ops in a kinds column that occupy a functional unit."""
+    arith = ARITHMETIC_KINDS
+    return sum(1 for k in kinds if k in arith)
 
 
 class Tracer:
-    """Records micro-ops; implements the Fp2Ops interface.
+    """Records micro-ops as columns; implements the Fp2Ops interface.
+
+    Op ``uid`` is recorded as ``kinds[uid]`` / ``srcs[uid]`` (source
+    uids; a SELECT lists its chosen source first) / ``values[uid]`` (the
+    concrete value: the golden reference of the simulation), with its
+    label, if any, in ``names``.  Every handle the Fp2Ops methods take
+    and return is such a uid.
 
     Section markers (:meth:`begin_section`) tag ranges of the trace for
     profiling (endomorphisms / table / main loop / normalization).
@@ -58,87 +63,159 @@ class Tracer:
     """
 
     def __init__(self) -> None:
-        self.trace: List[MicroOp] = []
-        self._const_cache: Dict[Fp2Raw, TracedValue] = {}
+        self.kinds: List[OpKind] = []
+        self.srcs: List[Tuple[int, ...]] = []
+        self.values: List[Fp2Raw] = []
+        self.names: Dict[int, str] = {}
+        self._const_cache: Dict[Fp2Raw, int] = {}
         self.inputs: List[int] = []
         self.outputs: List[int] = []
         self.live: List[int] = []
         self.sections: List[Tuple[str, int, int]] = []
         self._open_sections: List[Tuple[str, int]] = []
+        self._trace: List[MicroOp] = []
+        self._bind_appends()
+
+    def _bind_appends(self) -> None:
+        # Bound appends: the op methods run once per recorded op on the
+        # serving path.
+        self._kind = self.kinds.append
+        self._srcs = self.srcs.append
+        self._value = self.values.append
+
+    def __getstate__(self) -> Dict:
+        state = self.__dict__.copy()
+        for name in ("_kind", "_srcs", "_value"):
+            del state[name]  # rebound to the copied columns below
+        return state
+
+    def __setstate__(self, state: Dict) -> None:
+        self.__dict__.update(state)
+        self._bind_appends()
+
+    @property
+    def trace(self) -> List[MicroOp]:
+        """The recording as :class:`MicroOp` objects (uid == index).
+
+        Built on first read and extended as recording goes on; a view,
+        so edits to it do not reach the columns.
+        """
+        trace = self._trace
+        n = len(trace)
+        if n < len(self.kinds):
+            names = self.names
+            trace.extend(
+                MicroOp(uid, kind, srcs, value, names.get(uid, ""))
+                for uid, kind, srcs, value in zip(
+                    range(n, len(self.kinds)),
+                    self.kinds[n:],
+                    self.srcs[n:],
+                    self.values[n:],
+                )
+            )
+        return trace
 
     # -- recording helpers -------------------------------------------
-    def _emit(
+    def record(
         self, kind: OpKind, srcs: Tuple[int, ...], value: Fp2Raw, name: str = ""
-    ) -> TracedValue:
-        """Append one micro-op; ``srcs`` are the source uids.
-
-        Runs once per recorded op on the serving path: positional
-        construction, no keyword or generator overhead.
-        """
-        trace = self.trace
-        uid = len(trace)
-        trace.append(MicroOp(uid, kind, srcs, value, name))
-        return TracedValue(uid, value)
+    ) -> int:
+        """Append one micro-op and return its uid."""
+        uid = len(self.kinds)
+        self._kind(kind)
+        self._srcs(srcs)
+        self._value(value)
+        if name:
+            self.names[uid] = name
+        return uid
 
     # -- Fp2Ops interface ---------------------------------------------
-    def mul(self, a: TracedValue, b: TracedValue) -> TracedValue:
-        return self._emit(_MUL, (a.uid, b.uid), fp2_mul(a.value, b.value))
+    def mul(self, a: int, b: int) -> int:
+        values = self.values
+        uid = len(values)
+        self._value(fp2_mul(values[a], values[b]))
+        self._kind(_MUL)
+        self._srcs((a, b))
+        return uid
 
-    def sqr(self, a: TracedValue) -> TracedValue:
-        return self._emit(_SQR, (a.uid,), fp2_sqr(a.value))
+    def sqr(self, a: int) -> int:
+        values = self.values
+        uid = len(values)
+        self._value(fp2_sqr(values[a]))
+        self._kind(_SQR)
+        self._srcs((a,))
+        return uid
 
-    def add(self, a: TracedValue, b: TracedValue) -> TracedValue:
-        return self._emit(_ADD, (a.uid, b.uid), fp2_add(a.value, b.value))
+    def add(self, a: int, b: int) -> int:
+        values = self.values
+        uid = len(values)
+        self._value(fp2_add(values[a], values[b]))
+        self._kind(_ADD)
+        self._srcs((a, b))
+        return uid
 
-    def sub(self, a: TracedValue, b: TracedValue) -> TracedValue:
-        return self._emit(_SUB, (a.uid, b.uid), fp2_sub(a.value, b.value))
+    def sub(self, a: int, b: int) -> int:
+        values = self.values
+        uid = len(values)
+        self._value(fp2_sub(values[a], values[b]))
+        self._kind(_SUB)
+        self._srcs((a, b))
+        return uid
 
-    def neg(self, a: TracedValue) -> TracedValue:
-        return self._emit(_NEG, (a.uid,), fp2_neg(a.value))
+    def neg(self, a: int) -> int:
+        values = self.values
+        uid = len(values)
+        self._value(fp2_neg(values[a]))
+        self._kind(_NEG)
+        self._srcs((a,))
+        return uid
 
-    def conj(self, a: TracedValue) -> TracedValue:
-        return self._emit(_CONJ, (a.uid,), fp2_conj(a.value))
+    def conj(self, a: int) -> int:
+        values = self.values
+        uid = len(values)
+        self._value(fp2_conj(values[a]))
+        self._kind(_CONJ)
+        self._srcs((a,))
+        return uid
 
-    def select(self, chosen: TracedValue, *alternatives: TracedValue) -> TracedValue:
+    def select(self, chosen: int, *alternatives: int) -> int:
         """A constant-time mux: value of ``chosen``, dependency on all.
 
         ``chosen`` must be one of ``alternatives``; the emitted SELECT op
         lists the chosen source first.
         """
-        c = chosen.uid
-        uids = [a.uid for a in alternatives]
-        if c not in uids:
+        if chosen not in alternatives:
             raise ValueError("chosen value is not among the alternatives")
-        return self._emit(
-            _SELECT, (c,) + tuple([u for u in uids if u != c]), chosen.value
-        )
+        values = self.values
+        uid = len(values)
+        self._value(values[chosen])
+        self._kind(_SELECT)
+        self._srcs((chosen,) + tuple([u for u in alternatives if u != chosen]))
+        return uid
 
-    def const(self, value: Fp2Raw, name: str = "const") -> TracedValue:
+    def const(self, value: Fp2Raw, name: str = "const") -> int:
         cached = self._const_cache.get(value)
         if cached is not None:
             return cached
-        tv = self._emit(_CONST, (), value, name)
-        self._const_cache[value] = tv
-        return tv
+        uid = self.record(_CONST, (), value, name)
+        self._const_cache[value] = uid
+        return uid
 
     # -- program boundary ----------------------------------------------
-    def input(self, value: Fp2Raw, name: str) -> TracedValue:
+    def input(self, value: Fp2Raw, name: str) -> int:
         """Declare a register-file-preloaded input value."""
-        tv = self._emit(_INPUT, (), value, name)
-        self.inputs.append(tv.uid)
-        return tv
+        uid = self.record(_INPUT, (), value, name)
+        self.inputs.append(uid)
+        return uid
 
-    def mark_output(self, value: TracedValue, name: str = "") -> None:
+    def mark_output(self, uid: int, name: str = "") -> None:
         """Declare a trace value as a program output (kept live)."""
-        self.outputs.append(value.uid)
-        if name:
-            op = self.trace[value.uid]
-            if not op.name:
-                self.trace[value.uid] = MicroOp(
-                    uid=op.uid, kind=op.kind, srcs=op.srcs, value=op.value, name=name
-                )
+        self.outputs.append(uid)
+        if name and uid not in self.names:
+            self.names[uid] = name
+            if uid < len(self._trace):
+                self._trace[uid] = self._trace[uid]._replace(name=name)
 
-    def mark_live(self, value: TracedValue) -> None:
+    def mark_live(self, uid: int) -> None:
         """Pin a value as live without declaring it a program output.
 
         The optimizer's dead-value elimination treats ``outputs`` and
@@ -150,32 +227,32 @@ class Tracer:
         ``mark_live`` also shields the value from being merged away by
         common-subexpression elimination.
         """
-        self.live.append(value.uid)
+        self.live.append(uid)
 
     # -- sections --------------------------------------------------------
     def begin_section(self, name: str) -> None:
-        self._open_sections.append((name, len(self.trace)))
+        self._open_sections.append((name, len(self.kinds)))
 
     def end_section(self) -> None:
         name, start = self._open_sections.pop()
-        self.sections.append((name, start, len(self.trace)))
+        self.sections.append((name, start, len(self.kinds)))
 
     # -- stats -----------------------------------------------------------
     def op_counts(self) -> Dict[OpKind, int]:
         counts: Dict[OpKind, int] = {}
-        for op in self.trace:
-            counts[op.kind] = counts.get(op.kind, 0) + 1
+        for kind in self.kinds:
+            counts[kind] = counts.get(kind, 0) + 1
         return counts
 
     def arithmetic_size(self) -> int:
         """Number of ops that occupy a functional unit."""
-        return sum(1 for op in self.trace if op.is_arithmetic)
+        return count_arithmetic(self.kinds)
 
     def multiplier_ops(self) -> int:
-        return sum(1 for op in self.trace if op.unit is Unit.MULTIPLIER)
+        return sum(1 for k in self.kinds if UNIT_OF[k] is Unit.MULTIPLIER)
 
     def addsub_ops(self) -> int:
-        return sum(1 for op in self.trace if op.unit is Unit.ADDSUB)
+        return sum(1 for k in self.kinds if UNIT_OF[k] is Unit.ADDSUB)
 
     def multiplication_share(self) -> float:
         """Fraction of arithmetic ops that are multiplications.

@@ -73,7 +73,7 @@ class TestFullProgramFlow:
     def test_golden_checking_catches_corruption(self, flow):
         """Corrupt one golden value: the simulator must detect it."""
         prog = flow.microprogram
-        victim_uid = next(iter(u for u in prog.golden if prog.golden[u] != (0, 0)))
+        victim_uid = next(u for u, v in enumerate(prog.golden) if v != (0, 0))
         original = prog.golden[victim_uid]
         prog.golden[victim_uid] = (original[0] ^ 1, original[1])
         sim = DatapathSimulator()

@@ -266,3 +266,43 @@ class TestRegisterPressure:
         # Preloaded inputs make pressure positive from cycle 0.
         assert pressure[0] > 0
         assert all(p >= 0 for p in pressure)
+
+
+#: ROM images of the two reference programs: (words, word bits, address
+#: bits, register address bits, FSM states, sha256 of the comma-joined
+#: ROM words).  Recorded while the generator still packed ``ControlWord``
+#: objects, so packing decoded rows must reproduce them bit for bit.
+PINNED_ROMS = {
+    "kernel_cp": (
+        25, 41, 5, 4, 27,
+        "76e67a3263ef91215ddeb0fe246ee3f4ba0bfb0b38014122628e9171f8a07bfe",
+    ),
+    "sm_list": (
+        2069, 59, 12, 7, 2071,
+        "c4e2b5df1bd8cb0fd522c0d1e7de0a592b7abe1029def81cefec2474b4ca874c",
+    ),
+}
+
+
+class TestRomImagePinned:
+    @pytest.mark.parametrize("name", sorted(PINNED_ROMS))
+    def test_rom_and_geometry_unchanged(self, name):
+        import hashlib
+
+        from repro.flow import run_flow
+        from repro.serve.cache import FlowArtifactCache
+        from repro.trace import trace_scalar_mult
+
+        if name == "kernel_cp":
+            make, scheduler = trace_loop_iteration, "cp"
+        else:
+            make, scheduler = trace_scalar_mult, "list"
+        # Uncached (assemble) and cached miss (template rebind) paths.
+        for cache in (None, FlowArtifactCache()):
+            fsm = run_flow(make(), scheduler=scheduler, cache=cache).fsm
+            geometry = (
+                len(fsm.rom), fsm.word_bits, fsm.addr_bits, fsm.reg_addr_bits,
+                fsm.states,
+                hashlib.sha256(",".join(map(str, fsm.rom)).encode()).hexdigest(),
+            )
+            assert geometry == PINNED_ROMS[name]

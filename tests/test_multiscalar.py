@@ -389,3 +389,62 @@ class TestBatchSoundness:
         assert "SystemRandom" in source
         sig = inspect.signature(batch_verify_schnorr)
         assert sig.parameters["rng"].default is None
+
+
+class TestStrausCompiledEndomorphisms:
+    """Straus builds its tables from the compiled, inversion-free maps."""
+
+    def test_compiled_images_equal_isogeny_images(self):
+        from repro.curve.endomaps import (
+            apply_compiled_endo_frac,
+            compile_endomorphisms,
+            frac_to_r1,
+        )
+        from repro.curve.endomorphisms import default_endomorphisms
+        from repro.field.fp2 import fp2_inv, fp2_mul
+
+        phi_c, psi_c = compile_endomorphisms()
+        endo = default_endomorphisms()
+        rng = _rng("compiled-images")
+        for pt in [AffinePoint.generator()] + [random_subgroup_point(rng) for _ in range(3)]:
+            fx, fy = (pt.x, (1, 0)), (pt.y, (1, 0))
+            fx_phi, fy_phi = apply_compiled_endo_frac(phi_c, fx, fy)
+            images = (
+                (frac_to_r1(fx_phi, fy_phi), endo.phi(pt)),
+                (frac_to_r1(*apply_compiled_endo_frac(psi_c, fx, fy)), endo.psi(pt)),
+                (
+                    frac_to_r1(*apply_compiled_endo_frac(psi_c, fx_phi, fy_phi)),
+                    endo.psi(endo.phi(pt)),
+                ),
+            )
+            for r1, affine in images:
+                zi = fp2_inv(r1.z)
+                assert (fp2_mul(r1.x, zi), fp2_mul(r1.y, zi)) == (affine.x, affine.y)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_straus_equals_naive_affine_sum(self, n):
+        rng = _rng(f"straus-naive-{n}")
+        for _ in range(2):
+            pts = [AffinePoint.generator()] + [
+                random_subgroup_point(rng) for _ in range(n - 1)
+            ]
+            ks = [rng.randrange(2**256) for _ in range(n)]
+            expected = AffinePoint.identity()
+            for k, p in zip(ks, pts):
+                expected = expected + (k % SUBGROUP_ORDER_N) * p
+            assert multi_scalar_mul_straus(ks, pts) == expected
+
+    def test_batch_verdicts_match_per_item_verification(self):
+        rng = _rng("straus-verdicts")
+        for n in (1, 2, 3):
+            honest = _signed(rng, n)
+            assert batch_verify_schnorr(honest, rng=rng)
+            forged = list(honest)
+            public, _, sig = forged[-1]
+            forged[-1] = (public, b"forged payload", sig)
+            assert not fourq_schnorr.verify(*forged[-1])
+            assert not batch_verify_schnorr(forged, rng=rng)
+
+    def test_no_endomorphism_override(self):
+        for fn in (multi_scalar_mul_straus, multi_scalar_mul):
+            assert "endo" not in inspect.signature(fn).parameters

@@ -171,3 +171,106 @@ class TestSimulatorReuse:
         second = shared.run(microprogram, check_golden=True)
         assert first.outputs == second.outputs == fresh.outputs
         assert first.cycles == second.cycles == fresh.cycles
+
+
+def _run_unit_models(program, mult_depth=3, addsub_depth=1):
+    """Run a program's ``words`` on the unit models, cycle by cycle.
+
+    The reference for :meth:`DatapathSimulator.run`'s fused loop: a
+    :class:`RegisterFile` (reads see the start-of-cycle state, writes
+    land at the end), a :class:`PipelinedMultiplier` and an
+    :class:`AddSubUnit`, each advanced one :meth:`tick` per cycle.
+    Returns the (multiplier, addsub) output of every cycle plus the
+    three models.
+    """
+    from repro.isa import OperandSource
+    from repro.trace.ops import Unit
+
+    rf = RegisterFile(size=program.register_count)
+    rf.preload(program.preload)
+    mult = PipelinedMultiplier(depth=mult_depth)
+    addsub = AddSubUnit(depth=addsub_depth)
+    outputs = []
+    for word in program.words:
+        rf.begin_cycle()
+        m_out, s_out = mult.output, addsub.output
+        for wb in word.writebacks:
+            rf.write(wb.register, m_out if wb.unit is Unit.MULTIPLIER else s_out)
+
+        def gather(issue):
+            read = {}  # one register read per issue feeds every slot
+            args = []
+            for op in issue.operands:
+                if op.source is OperandSource.REGISTER:
+                    if op.register not in read:
+                        read[op.register] = rf.read(op.register)
+                    args.append(read[op.register])
+                else:
+                    value = m_out if op.source is OperandSource.FORWARD_MULT else s_out
+                    assert value is not None
+                    args.append(value)
+            return args
+
+        m_issue = tuple(gather(word.mult)) if word.mult else None
+        s_issue = None
+        if word.addsub:
+            args = gather(word.addsub)
+            s_issue = (word.addsub.kind, args[0], args[1] if len(args) > 1 else None)
+        assert mult.tick(m_issue) == m_out
+        assert addsub.tick(s_issue) == s_out
+        rf.end_cycle()
+        outputs.append((m_out, s_out))
+    assert not mult.busy and not addsub.busy
+    return outputs, rf, mult, addsub
+
+
+class TestFusedLoopMatchesUnitModels:
+    """The fused simulator loop and the unit models are one cycle model."""
+
+    @pytest.fixture(scope="class")
+    def sm_program(self):
+        from repro.flow import run_flow
+        from repro.trace import trace_scalar_mult
+
+        flow = run_flow(trace_scalar_mult(k=0x5EED_F00D << 100, self_check=False))
+        return flow.microprogram, flow.simulation
+
+    def test_full_sm_cycle_by_cycle(self, sm_program):
+        import copy
+
+        from repro.rtl.datapath import DatapathSimulator, SimulationError
+        from repro.trace.ops import Unit
+
+        program, sim = sm_program
+        outputs, rf, mult, addsub = _run_unit_models(program)
+        assert len(outputs) == sim.cycles == 2069
+
+        # Every value leaving a unit is written back, so checking the
+        # fused loop's writebacks against the unit models' outputs
+        # (as its golden vector) compares the units' outputs per cycle.
+        reference = [None] * len(program.golden)
+        for word, (m_out, s_out) in zip(program.words, outputs):
+            units = {wb.unit for wb in word.writebacks}
+            assert (m_out is not None) == (Unit.MULTIPLIER in units)
+            assert (s_out is not None) == (Unit.ADDSUB in units)
+            for wb in word.writebacks:
+                reference[wb.uid] = m_out if wb.unit is Unit.MULTIPLIER else s_out
+        checked = copy.copy(program)
+        checked.golden = reference
+        fused = DatapathSimulator().run(checked)
+
+        assert fused.mult_stats == mult.stats == sim.mult_stats
+        assert fused.addsub_stats == addsub.stats == sim.addsub_stats
+        assert fused.max_reads_per_cycle == rf.max_reads_seen
+        assert fused.max_writes_per_cycle == rf.max_writes_seen
+        assert fused.profile.rf_reads == rf.total_reads
+        assert fused.profile.rf_writes == rf.total_writes
+        assert fused.outputs == {
+            name: rf.peek(reg) for name, reg in program.outputs.items()
+        }
+
+        # The comparison is live: one wrong unit output is caught.
+        uid = next(u for u, v in enumerate(reference) if v is not None)
+        reference[uid] = (reference[uid][0] ^ 1, reference[uid][1])
+        with pytest.raises(SimulationError):
+            DatapathSimulator().run(checked)

@@ -403,3 +403,61 @@ class TestHitRateHonesty:
         healed = run_flow(trace_loop_iteration(random.Random(33)), cache=cache)
         assert healed.cache_hit
         assert (cache.hits, cache.misses, cache.fallbacks) == (1, 2, 1)
+
+
+class TestColumnsOnlyWarmPath:
+    def test_keyed_warm_scalarmult_builds_no_microop(self, engine, monkeypatch):
+        """A keyed hit rebinds and golden-checks from the tracer's columns."""
+        from repro.trace.ops import MicroOp
+
+        g = AffinePoint.generator()
+        engine.scalarmult(11, g)  # the shape key is memoized from here on
+        hits = engine.cache.hits
+        built = []
+        original = MicroOp.__new__
+        monkeypatch.setattr(
+            MicroOp,
+            "__new__",
+            staticmethod(lambda cls, *a, **kw: built.append(a) or original(cls, *a, **kw)),
+        )
+        k = _scalar(77)
+        assert engine.scalarmult(k, g) == scalar_mul_fourq(k, g)
+        assert engine.cache.hits == hits + 1
+        assert built == []
+
+    def test_hit_golden_checks_the_recorded_values(self):
+        """The golden vector of a hit is the request's own values column."""
+        from repro.rtl.datapath import SimulationError
+
+        cache = FlowArtifactCache()
+        miss = run_flow(trace_loop_iteration(random.Random(41)), cache=cache)
+        prog = trace_loop_iteration(random.Random(42))
+        tracer = prog.tracer
+        uid = next(u for u, k in enumerate(tracer.kinds) if k.value == "mul")
+        x, y = tracer.values[uid]
+        tracer.values[uid] = (x ^ 1, y)
+        with pytest.raises(SimulationError):
+            run_flow(prog, cache=cache, cache_key=miss.cache_key)
+
+
+class TestAutoKeyHasOneHome:
+    def test_auto_key_equals_resolved_key(self):
+        cache = FlowArtifactCache()
+        loop = trace_loop_iteration(random.Random(9))
+        sm = trace_scalar_mult(k=_scalar(9), self_check=False)
+        assert cache.key_for(loop, scheduler="auto") == cache.key_for(loop, scheduler="cp")
+        assert cache.key_for(sm, scheduler="auto") == cache.key_for(sm, scheduler="list")
+        for prog in (loop, sm):
+            trace = prog.tracer.trace
+            assert trace_shape_key(trace, MachineSpec(), "auto") == trace_shape_key(
+                trace, MachineSpec(), resolve_scheduler("auto", prog)
+            )
+
+    def test_key_follows_the_flow_rule(self, monkeypatch):
+        import repro.flow
+
+        cache = FlowArtifactCache()
+        loop = trace_loop_iteration(random.Random(9))
+        monkeypatch.setattr(repro.flow, "AUTO_CP_MAX_OPS", 0)
+        assert resolve_scheduler("auto", loop) == "list"
+        assert cache.key_for(loop, scheduler="auto") == cache.key_for(loop, scheduler="list")

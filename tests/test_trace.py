@@ -12,8 +12,8 @@ class TestTracer:
         b = tr.input((4, 0), "b")
         c = tr.mul(a, b)
         d = tr.add(c, a)
-        assert c.value == (12, 0)
-        assert d.value == (15, 0)
+        assert tr.values[c] == (12, 0)
+        assert tr.values[d] == (15, 0)
         assert [op.kind for op in tr.trace] == [
             OpKind.INPUT,
             OpKind.INPUT,
@@ -26,16 +26,16 @@ class TestTracer:
     def test_all_op_kinds(self):
         tr = Tracer()
         a = tr.input((5, 7), "a")
-        assert tr.sqr(a).value == ((5 * 5 - 7 * 7) % (2**127 - 1), 70)
-        assert tr.neg(a).value == ((2**127 - 1) - 5, (2**127 - 1) - 7)
-        assert tr.conj(a).value == (5, (2**127 - 1) - 7)
-        assert tr.sub(a, a).value == (0, 0)
+        assert tr.values[tr.sqr(a)] == ((5 * 5 - 7 * 7) % (2**127 - 1), 70)
+        assert tr.values[tr.neg(a)] == ((2**127 - 1) - 5, (2**127 - 1) - 7)
+        assert tr.values[tr.conj(a)] == (5, (2**127 - 1) - 7)
+        assert tr.values[tr.sub(a, a)] == (0, 0)
 
     def test_const_dedup(self):
         tr = Tracer()
         c1 = tr.const((9, 9), "nine")
         c2 = tr.const((9, 9), "nine-again")
-        assert c1.uid == c2.uid
+        assert c1 == c2
         assert len(tr.trace) == 1
 
     def test_sections(self):
@@ -63,8 +63,8 @@ class TestTracer:
         a = tr.input((2, 0), "a")
         b = tr.mul(a, a)
         tr.mark_output(b, "result")
-        assert tr.outputs == [b.uid]
-        assert tr.trace[b.uid].name == "result"
+        assert tr.outputs == [b]
+        assert tr.trace[b].name == "result"
 
 
 class TestLoopIterationTrace:
@@ -160,3 +160,73 @@ class TestMsmWindowTrace:
             trace_msm_window(n_points=0)
         with pytest.raises(ValueError):
             trace_msm_window(n_points=4, window=1)
+
+
+#: sha256 over ``uid|kind|srcs|value|name`` of every op of the default
+#: recording of each workload, and its op count: recorded from the
+#: object-per-op tracer, so the column recorder's materialized ``trace``
+#: must reproduce them op for op.
+PINNED_TRACES = {
+    "loop_iteration": (
+        40, "550980fbd5376f0df43099e3e1b77f5388468fda1e1388d49ee291015f1e185b"
+    ),
+    "scalar_mult": (
+        2804, "4f674d2c11a399c79c30be0be9d88e43bcfb830cb24f068b75c3513de557e2e4"
+    ),
+    "double_scalar_mult": (
+        4625, "0c33851a7f5ffe9ddf9e5a50ecc12459bc946d3ac4193a73dca868406a9c939e"
+    ),
+    "msm_window": (
+        415, "b8794e47dff91ce05fd977d8aac7c1d246396a533fdda00be1d86128215b0994"
+    ),
+}
+
+
+class TestColumnRecording:
+    @pytest.mark.parametrize("workload", sorted(PINNED_TRACES))
+    def test_materialized_trace_is_unchanged(self, workload):
+        import hashlib
+
+        from repro.trace import trace_double_scalar_mult
+
+        make = {
+            "loop_iteration": trace_loop_iteration,
+            "scalar_mult": trace_scalar_mult,
+            "double_scalar_mult": trace_double_scalar_mult,
+            "msm_window": trace_msm_window,
+        }[workload]
+        tracer = make().tracer
+        trace = tracer.trace
+        digest = hashlib.sha256(
+            "\n".join(
+                f"{op.uid}|{op.kind.value}|{op.srcs}|{op.value}|{op.name}"
+                for op in trace
+            ).encode()
+        ).hexdigest()
+        assert (len(trace), digest) == PINNED_TRACES[workload]
+        assert [op.kind for op in trace] == tracer.kinds
+        assert [op.srcs for op in trace] == tracer.srcs
+        assert [op.value for op in trace] == tracer.values
+
+    def test_view_follows_the_recording(self):
+        tr = Tracer()
+        a = tr.input((2, 0), "a")
+        b = tr.mul(a, a)
+        assert [op.uid for op in tr.trace] == [a, b]
+        c = tr.add(b, a)  # recorded after the view was built
+        tr.mark_output(b, "out")  # names an op already in the view
+        assert [op.uid for op in tr.trace] == [a, b, c]
+        assert tr.trace[b].name == "out"
+        assert tr.trace[c].value == tr.values[c] == (6, 0)
+
+    def test_copies_record_into_their_own_columns(self):
+        import copy
+        import pickle
+
+        tr = Tracer()
+        a = tr.input((3, 0), "a")
+        for clone in (copy.deepcopy(tr), pickle.loads(pickle.dumps(tr))):
+            b = clone.mul(a, a)
+            assert clone.values[b] == (9, 0)
+            assert len(clone.kinds) == len(clone.srcs) == 2
+        assert len(tr.kinds) == len(tr.srcs) == len(tr.values) == 1

@@ -48,19 +48,19 @@ class TestSelectResolution:
     def test_chosen_resolution_nested(self):
         tr, a, b, s1, s2 = self._traced()
         by_uid = {op.uid: op for op in tr.trace}
-        assert resolve_select_chosen(by_uid, s2.uid) == a.uid
+        assert resolve_select_chosen(by_uid, s2) == a
 
     def test_all_resolution_nested(self):
         tr, a, b, s1, s2 = self._traced()
         by_uid = {op.uid: op for op in tr.trace}
-        alts = resolve_select_all(by_uid, s2.uid)
-        assert set(alts) == {a.uid, b.uid}
+        alts = resolve_select_all(by_uid, s2)
+        assert set(alts) == {a, b}
 
     def test_non_select_passthrough(self):
         tr, a, b, s1, s2 = self._traced()
         by_uid = {op.uid: op for op in tr.trace}
-        assert resolve_select_chosen(by_uid, a.uid) == a.uid
-        assert resolve_select_all(by_uid, a.uid) == (a.uid,)
+        assert resolve_select_chosen(by_uid, a) == a
+        assert resolve_select_all(by_uid, a) == (a,)
 
     def test_select_requires_membership(self):
         tr = Tracer()
@@ -74,7 +74,7 @@ class TestSelectResolution:
         tr = Tracer()
         a = tr.input((7, 8), "a")
         b = tr.input((9, 1), "b")
-        assert tr.select(b, a, b).value == (9, 1)
+        assert tr.values[tr.select(b, a, b)] == (9, 1)
 
 
 class TestSectionNesting:
